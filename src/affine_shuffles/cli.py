@@ -23,9 +23,8 @@ import random
 import sys
 from fractions import Fraction
 
-from . import cellini, closed_forms, harness, series, shuffles, unimodal
+from . import closed_forms, harness, shuffles, unimodal
 from .perm import Permutation, SignedPermutation
-from .report import VerificationReport
 
 
 def _render_fraction(value: Fraction, decimal: int | None) -> str:
@@ -63,12 +62,12 @@ def _cmd_measure(args: argparse.Namespace, out: _Output) -> int:
     family, n, k = args.family, args.n, args.k
     if args.element is not None:
         if family == "A":
-            value = closed_forms.x_k_type_a(Permutation.from_text(args.element), k)
+            value = closed_forms.x_k_type_a(args.element, k)
         else:
-            value = closed_forms.x_k_type_c(SignedPermutation.from_text(args.element), k)
+            value = closed_forms.x_k_type_c(args.element, k)
         if out.as_json:
             out.emit_json({"family": family, "n": n, "k": k,
-                           "element": args.element,
+                           "element": args.element.to_text(),
                            "coefficient": _render_fraction(value, out.decimal)})
         else:
             out.emit(_render_fraction(value, out.decimal))
@@ -91,44 +90,9 @@ def _cmd_measure(args: argparse.Namespace, out: _Output) -> int:
     return 0
 
 
-def _run_named_checks(name: str, profile_name: str) -> list[VerificationReport]:
-    profile = harness.PROFILES[profile_name]
-    if name == "all":
-        return harness.verify_all(profile_name)
-    reports: list[VerificationReport] = []
-    if name == "dmp":
-        for n, q in profile.dmp_a:
-            reports.append(harness.verify_dmp("A", n, q))
-        for n, q in profile.dmp_c:
-            reports.append(harness.verify_dmp("C", n, q))
-    elif name == "cellini":
-        for family, n, k, h in profile.cellini_cases:
-            rs = (cellini.RootSystem.type_a(n) if family == "A"
-                  else cellini.RootSystem.type_c(n))
-            reports.append(cellini.verify_cellini_properties(rs, k, h))
-    elif name == "tv":
-        for n, k in profile.tv_cases:
-            reports.append(shuffles.theorem_tv_check(n, k))
-    elif name == "gannon":
-        for n in profile.gannon_sizes:
-            reports.append(harness.verify_gannon(n))
-    elif name == "reciprocity":
-        bound = profile.reciprocity_formula_max
-        brute_bound = profile.reciprocity_brute_max
-        for n in range(2, bound + 1):
-            for q in range(2, bound + 1):
-                reports.append(harness.verify_reciprocity(
-                    n, q, brute=n <= brute_bound and q <= brute_bound))
-    elif name == "reiner":
-        reports.append(series.reiner_identity_check(*profile.reiner))
-    else:
-        raise ValueError(f"unknown check {name!r}")
-    reports.sort(key=lambda r: (r.check_name, repr(r.parameters)))
-    return reports
-
-
 def _cmd_verify(args: argparse.Namespace, out: _Output) -> int:
-    reports = _run_named_checks(args.check, args.profile)
+    names = harness.CHECKS if args.check == "all" else (args.check,)
+    reports = harness.run_checks(names, args.profile)
     failures = [r for r in reports if not r.passed]
     if out.as_json:
         out.emit_json([r.as_dict() for r in reports])
@@ -197,41 +161,65 @@ def _cmd_unimodal(args: argparse.Namespace, out: _Output) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type for integers no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
+
+
+def _parse_element(parser: argparse.ArgumentParser, args: argparse.Namespace):
+    """The ``measure --element`` text as a group element on ``--n`` symbols."""
+    group = Permutation if args.family == "A" else SignedPermutation
+    try:
+        element = group.from_text(args.element)
+        if element.n != args.n:
+            raise ValueError(f"{args.element} acts on {element.n} symbols, but --n is {args.n}")
+    except ValueError as exc:
+        parser.error(f"argument --element: {exc}")
+    return element
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="affine-shuffles",
         description="Exact affine shuffle measures, card-shuffling models, and identity checks",
     )
-    parser.add_argument("--json", action="store_true", help="emit JSON")
-    parser.add_argument("--csv", action="store_true", help="emit CSV where applicable")
+    formats = parser.add_mutually_exclusive_group()
+    formats.add_argument("--json", action="store_true", help="emit JSON")
+    formats.add_argument("--csv", action="store_true", help="emit CSV where applicable")
     parser.add_argument("--out", metavar="PATH", help="write output to a file")
-    parser.add_argument("--decimal", type=int, metavar="DIGITS",
+    parser.add_argument("--decimal", type=_int_at_least(0), metavar="DIGITS",
                         help="render rationals as decimals with this many digits")
     sub = parser.add_subparsers(dest="command", required=True)
 
     measure = sub.add_parser("measure", help="affine k-shuffle measure")
     measure.add_argument("--family", choices=("A", "C"), required=True)
-    measure.add_argument("--n", type=int, required=True)
-    measure.add_argument("--k", type=int, required=True)
+    measure.add_argument("--n", type=_int_at_least(1), required=True)
+    measure.add_argument("--k", type=_int_at_least(1), required=True)
     measure.add_argument("--element", help="one-line form, e.g. 3,1,-2,4,5")
 
     verify = sub.add_parser("verify", help="run verification checks")
-    verify.add_argument(
-        "check",
-        choices=("dmp", "cellini", "tv", "gannon", "reciprocity", "reiner", "all"),
-    )
-    verify.add_argument("--profile", choices=("quick", "full"), default="quick")
+    verify.add_argument("check", choices=(*harness.CHECKS, "all"),
+                        type=lambda name: harness.CHECK_ALIASES.get(name, name),
+                        help="a registered check, or all; short forms: "
+                        + ", ".join(harness.CHECK_ALIASES))
+    verify.add_argument("--profile", choices=harness.PROFILES, default="quick")
 
     sample = sub.add_parser("sample", help="draw from a shuffle model")
     sample.add_argument("--model", choices=("riffle", "affine-a", "affine-c"),
                         required=True)
-    sample.add_argument("--n", type=int, required=True)
-    sample.add_argument("--k", type=int, default=2)
+    sample.add_argument("--n", type=_int_at_least(1), required=True)
+    sample.add_argument("--k", type=_int_at_least(1), default=2)
     sample.add_argument("--seed", type=int, required=True)
-    sample.add_argument("--count", type=int, default=1)
+    sample.add_argument("--count", type=_int_at_least(0), default=1)
 
     uni = sub.add_parser("unimodal", help="unimodal permutations")
-    uni.add_argument("--n", type=int, required=True)
+    uni.add_argument("--n", type=_int_at_least(1), required=True)
     uni.add_argument("--histogram", action="store_true",
                      help="group by multiset of cycle shapes")
 
@@ -239,9 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     out = _Output(args)
     if args.command == "measure":
+        if args.element is not None:
+            args.element = _parse_element(parser, args)
         return _cmd_measure(args, out)
     if args.command == "verify":
         return _cmd_verify(args, out)

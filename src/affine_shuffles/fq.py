@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .numth import divisors, mobius
+from .numth import divisors, mobius, power
 from .perm import ClassMeasure, CycleType, SignedCycleType
 
 __all__ = [
@@ -327,17 +327,7 @@ class FqPoly:
         return (self % other).is_zero
 
     def __pow__(self, exponent: int) -> "FqPoly":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = FqPoly(self.field, (1,))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, FqPoly(self.field, (1,)))
 
     def __call__(self, x: int) -> int:
         F = self.field

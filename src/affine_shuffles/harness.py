@@ -1,9 +1,10 @@
 """Orchestrated verification of every identity the library implements.
 
-Each check returns a :class:`VerificationReport`; ``verify_all`` runs the
-whole battery at profile-determined sizes ("quick" for a fast smoke run,
-"full" for the acceptance sizes) and returns the reports sorted by check
-name.  A ``fault_injection`` flag on the main comparison perturbs one
+Each check returns a :class:`VerificationReport`.  ``CHECKS`` registers every
+check by name with its argument tuples per profile ("quick" for a fast smoke
+run, "full" for the acceptance sizes); ``run_checks`` runs the named checks
+and ``verify_all`` the whole battery, both returning the reports sorted by
+check name.  A ``fault_injection`` flag on the main comparison perturbs one
 coefficient before comparing, proving that the checks cannot pass vacuously.
 """
 
@@ -12,8 +13,8 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from . import cellini, closed_forms, fq, series, shuffles, unimodal
 from .perm import (
@@ -28,8 +29,10 @@ from .numth import binomial, von_sterneck
 from .report import CheckTimer, VerificationReport
 
 __all__ = [
-    "Profile",
+    "CHECKS",
+    "CHECK_ALIASES",
     "PROFILES",
+    "run_checks",
     "verify_dmp",
     "verify_four_formulas",
     "verify_measure_totals",
@@ -63,11 +66,10 @@ def verify_dmp(family: str, n: int, q: int, fault_injection: bool = False) -> Ve
     if fault_injection:
         params["fault_injection"] = True
 
+    generic = cellini.x_k_generic(_root_system(family, n), q)
+    shuffle_masses: dict = {}
     if family == "A":
         poly_masses = dict(fq.sl_class_measure(n, q).masses)
-        rs = cellini.RootSystem.type_a(n)
-        generic = cellini.x_k_generic(rs, q)
-        shuffle_masses: dict = {}
         for w in all_permutations(n):
             values = [closed_forms.x_k_type_a(w, q, method) for method in (1, 2, 3, 4)]
             values.append(cellini.x_k_type_a_lattice(w, q))
@@ -80,11 +82,8 @@ def verify_dmp(family: str, n: int, q: int, fault_injection: bool = False) -> Ve
                 )
             t = cycle_type(w)
             shuffle_masses[t] = shuffle_masses.get(t, Fraction(0)) + values[0]
-    elif family == "C":
+    else:
         poly_masses = dict(fq.sp_class_measure(n, q).masses)
-        rs = cellini.RootSystem.type_c(n)
-        generic = cellini.x_k_generic(rs, q)
-        shuffle_masses = {}
         for w in all_signed_permutations(n):
             closed = closed_forms.x_k_type_c(w, q)
             if closed != generic.coefficient(w):
@@ -96,8 +95,6 @@ def verify_dmp(family: str, n: int, q: int, fault_injection: bool = False) -> Ve
             if closed:
                 t = cycle_type(w)
                 shuffle_masses[t] = shuffle_masses.get(t, Fraction(0)) + closed
-    else:
-        raise ValueError(f"family must be 'A' or 'C', got {family!r}")
 
     if fault_injection and shuffle_masses:
         first = sorted(shuffle_masses, key=repr)[0]
@@ -138,8 +135,7 @@ def verify_measure_totals(cases: tuple[tuple[str, int, int], ...]) -> Verificati
     timer = CheckTimer()
     params = {"cases": list(cases)}
     for family, n, k in cases:
-        rs = cellini.RootSystem.type_a(n) if family == "A" else cellini.RootSystem.type_c(n)
-        element = cellini.x_k_generic(rs, k)  # total == 1 asserted inside
+        element = cellini.x_k_generic(_root_system(family, n), k)  # total == 1 asserted inside
         if any(c < 0 for c in element.coeffs.values()):
             return timer.report(
                 "measure_totals", params,
@@ -435,144 +431,119 @@ def verify_sampler(
 
 
 # ---------------------------------------------------------------------------
-# Profiles
+# The check registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Profile:
-    name: str
-    dmp_a: tuple[tuple[int, int], ...]
-    dmp_c: tuple[tuple[int, int], ...]
-    four_formula: tuple[tuple[int, int], ...]  # (n, k_max)
-    measure_totals: tuple[tuple[str, int, int], ...]
-    cellini_cases: tuple[tuple[str, int, int, int], ...]  # (family, n, k, h)
-    model_a_sizes: tuple[int, ...]
-    model_c_cases: tuple[tuple[int, int], ...]
-    tv_cases: tuple[tuple[int, int], ...]
-    histogram_sizes: tuple[int, ...]
-    gannon_sizes: tuple[int, ...]
-    unimodal_count_max: int
-    transitive_max: int
-    eta_sizes: tuple[int, ...]
-    product_c_cases: tuple[tuple[int, int], ...]  # (n_max, q)
-    product_unimodal_max: int
-    reiner: tuple[int, int]  # (n_max, k_max)
-    reciprocity_formula_max: int
-    reciprocity_brute_max: int
-    limit_law: tuple[int, int, float]
-    sampler: tuple[int, int, int, float, int]
+PROFILES = ("quick", "full")
+
+Cases = tuple[tuple, ...]
 
 
-PROFILES: dict[str, Profile] = {
-    "quick": Profile(
-        name="quick",
-        dmp_a=tuple((n, q) for n in range(1, 5) for q in (2, 3)),
-        dmp_c=tuple((n, q) for n in range(1, 3) for q in (2, 3)),
-        four_formula=((4, 4),),
-        measure_totals=tuple(
-            [("A", n, k) for n in range(2, 5) for k in (2, 3, 4)]
-            + [("C", n, k) for n in range(1, 3) for k in (2, 3, 4)]
-        ),
-        cellini_cases=(("A", 3, 2, 2), ("A", 3, 3, 3), ("C", 2, 2, 2), ("C", 2, 3, 2)),
-        model_a_sizes=(2, 3, 4),
-        model_c_cases=tuple((n, k) for n in (1, 2) for k in (2, 3, 4)),
-        tv_cases=((2, 2), (3, 2), (3, 4), (4, 2)),
-        histogram_sizes=(1, 2, 3, 4),
-        gannon_sizes=(1, 2, 3, 4, 5, 6, 7),
-        unimodal_count_max=10,
-        transitive_max=10,
-        eta_sizes=(1, 2, 3, 4, 5, 6),
-        product_c_cases=((2, 2), (2, 3)),
-        product_unimodal_max=6,
-        reiner=(2, 3),
-        reciprocity_formula_max=10,
-        reciprocity_brute_max=6,
-        limit_law=(8, 2, 0.05),
-        sampler=(3, 2, 100_000, 0.02, 20260810),
-    ),
-    "full": Profile(
-        name="full",
-        dmp_a=tuple((n, q) for n in range(1, 7) for q in (2, 3, 4, 5)),
-        dmp_c=tuple((n, q) for n in range(1, 5) for q in (2, 3, 5)),
-        four_formula=tuple((n, 8) for n in range(1, 7)),
-        measure_totals=tuple(
-            [("A", n, k) for n in range(2, 6) for k in range(1, 9)]
-            + [("C", n, k) for n in range(1, 4) for k in range(1, 9)]
-        ),
-        cellini_cases=(
-            ("A", 3, 3, 3),
-            ("A", 4, 2, 2), ("A", 4, 2, 3), ("A", 4, 3, 2), ("A", 4, 3, 3),
-            ("C", 3, 2, 2), ("C", 3, 2, 3), ("C", 3, 3, 2), ("C", 3, 3, 3),
-        ),
-        model_a_sizes=(2, 3, 4, 5, 6),
-        model_c_cases=tuple((n, k) for n in (1, 2, 3) for k in range(1, 7)),
-        tv_cases=tuple((n, k) for n in range(2, 7) for k in (2, 4, 6, 8)),
-        histogram_sizes=(1, 2, 3, 4, 5, 6),
-        gannon_sizes=tuple(range(1, 11)),
-        unimodal_count_max=14,
-        transitive_max=14,
-        eta_sizes=tuple(range(1, 11)),
-        product_c_cases=((3, 2), (3, 3), (3, 4), (3, 5)),
-        product_unimodal_max=8,
-        reiner=(3, 4),
-        reciprocity_formula_max=30,
-        reciprocity_brute_max=10,
-        limit_law=(8, 2, 0.05),
-        sampler=(3, 2, 100_000, 0.02, 20260810),
-    ),
+def _root_system(family: str, n: int) -> cellini.RootSystem:
+    if family not in ("A", "C"):
+        raise ValueError(f"family must be 'A' or 'C', got {family!r}")
+    return cellini.RootSystem.type_a(n) if family == "A" else cellini.RootSystem.type_c(n)
+
+
+def _verify_cellini(family: str, n: int, k: int, h: int) -> VerificationReport:
+    return cellini.verify_cellini_properties(_root_system(family, n), k, h)
+
+
+def _by_profile(*cases: Cases) -> dict[str, Cases]:
+    """Argument tuples per profile, given in ``PROFILES`` order."""
+    return dict(zip(PROFILES, cases, strict=True))
+
+
+def _singles(values) -> Cases:
+    return tuple((v,) for v in values)
+
+
+def _reciprocity_cases(top: int, brute_top: int) -> Cases:
+    sizes = range(2, top + 1)
+    return tuple((n, q, n <= brute_top and q <= brute_top) for n in sizes for q in sizes)
+
+
+CHECKS: dict[str, tuple[Callable[..., VerificationReport], dict[str, Cases]]] = {
+    "dmp": (verify_dmp, _by_profile(
+        tuple(("A", n, q) for n in range(1, 5) for q in (2, 3))
+        + tuple(("C", n, q) for n in range(1, 3) for q in (2, 3)),
+        tuple(("A", n, q) for n in range(1, 7) for q in (2, 3, 4, 5))
+        + tuple(("C", n, q) for n in range(1, 5) for q in (2, 3, 5)),
+    )),
+    "four_formulas": (verify_four_formulas, _by_profile(
+        ((4, 4),), tuple((n, 8) for n in range(1, 7)),
+    )),
+    "measure_totals": (verify_measure_totals, _by_profile(
+        ((tuple([("A", n, k) for n in range(2, 5) for k in (2, 3, 4)]
+                + [("C", n, k) for n in range(1, 3) for k in (2, 3, 4)]),),),
+        ((tuple([("A", n, k) for n in range(2, 6) for k in range(1, 9)]
+                + [("C", n, k) for n in range(1, 4) for k in range(1, 9)]),),),
+    )),
+    "cellini_properties": (_verify_cellini, _by_profile(
+        (("A", 3, 2, 2), ("A", 3, 3, 3), ("C", 2, 2, 2), ("C", 2, 3, 2)),
+        (("A", 3, 3, 3),) + tuple((family, n, k, h) for family, n in (("A", 4), ("C", 3))
+                                  for k in (2, 3) for h in (2, 3)),
+    )),
+    "shuffle_model_a": (verify_shuffle_model_a, _by_profile(
+        _singles(range(2, 5)), _singles(range(2, 7)),
+    )),
+    "shuffle_model_c": (verify_shuffle_model_c, _by_profile(
+        tuple((n, k) for n in (1, 2) for k in (2, 3, 4)),
+        tuple((n, k) for n in (1, 2, 3) for k in range(1, 7)),
+    )),
+    "tv_equality": (shuffles.theorem_tv_check, _by_profile(
+        ((2, 2), (3, 2), (3, 4), (4, 2)),
+        tuple((n, k) for n in range(2, 7) for k in (2, 4, 6, 8)),
+    )),
+    "histogram_identity": (verify_histogram_identity, _by_profile(
+        _singles(range(1, 5)), _singles(range(1, 7)),
+    )),
+    "gannon_law": (verify_gannon, _by_profile(_singles(range(1, 8)), _singles(range(1, 11)))),
+    "unimodal_count": (verify_unimodal_counts, _by_profile(((10,),), ((14,),))),
+    "transitive_unimodal": (verify_transitive_counts, _by_profile(((10,),), ((14,),))),
+    "eta_map": (verify_eta, _by_profile(_singles(range(1, 7)), _singles(range(1, 11)))),
+    "eta_worked_example": (verify_eta_worked_example, _by_profile(((),), ((),))),
+    "type_c_product": (verify_type_c_product, _by_profile(
+        ((2, 2), (2, 3)), ((3, 2), (3, 3), (3, 4), (3, 5)),
+    )),
+    "unimodal_product": (verify_unimodal_product, _by_profile(((6,),), ((8,),))),
+    "reiner_identity": (series.reiner_identity_check, _by_profile(((2, 3),), ((3, 4),))),
+    "reciprocity": (verify_reciprocity, _by_profile(
+        _reciprocity_cases(10, 6), _reciprocity_cases(30, 10),
+    )),
+    "limit_law": (verify_limit_law, _by_profile(((8, 2, 0.05),), ((8, 2, 0.05),))),
+    "sampler_sanity": (verify_sampler, _by_profile(
+        ((3, 2, 100_000, 0.02, 20260810),), ((3, 2, 100_000, 0.02, 20260810),),
+    )),
 }
+"""Each check's function and, per profile, the argument tuples it is called
+with; every key is the ``check_name`` its function puts on its reports."""
+
+CHECK_ALIASES = {
+    "cellini": "cellini_properties",
+    "tv": "tv_equality",
+    "gannon": "gannon_law",
+    "reiner": "reiner_identity",
+}
+"""Short spellings the command line accepts for four registered checks."""
 
 
-def verify_all(profile: str = "quick") -> list[VerificationReport]:
-    """Run the complete battery at the named profile's sizes.
+def run_checks(names: Iterable[str], profile: str = "quick") -> list[VerificationReport]:
+    """Run the named registered checks at the profile's sizes.
 
     Reports come back sorted by check name and parameters, not completion
     order, so output is reproducible.
     """
     if profile not in PROFILES:
-        raise ValueError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
-    p = PROFILES[profile]
+        raise ValueError(f"unknown profile {profile!r}; choose from {PROFILES}")
     reports: list[VerificationReport] = []
-
-    for n, q in p.dmp_a:
-        reports.append(verify_dmp("A", n, q))
-    for n, q in p.dmp_c:
-        reports.append(verify_dmp("C", n, q))
-    for n, k_max in p.four_formula:
-        reports.append(verify_four_formulas(n, k_max))
-    reports.append(verify_measure_totals(p.measure_totals))
-    for family, n, k, h in p.cellini_cases:
-        rs = (
-            cellini.RootSystem.type_a(n)
-            if family == "A"
-            else cellini.RootSystem.type_c(n)
-        )
-        reports.append(cellini.verify_cellini_properties(rs, k, h))
-    for n in p.model_a_sizes:
-        reports.append(verify_shuffle_model_a(n))
-    for n, k in p.model_c_cases:
-        reports.append(verify_shuffle_model_c(n, k))
-    for n, k in p.tv_cases:
-        reports.append(shuffles.theorem_tv_check(n, k))
-    for n in p.histogram_sizes:
-        reports.append(verify_histogram_identity(n))
-    for n in p.gannon_sizes:
-        reports.append(verify_gannon(n))
-    reports.append(verify_unimodal_counts(p.unimodal_count_max))
-    reports.append(verify_transitive_counts(p.transitive_max))
-    for n in p.eta_sizes:
-        reports.append(verify_eta(n))
-    reports.append(verify_eta_worked_example())
-    for n_max, q in p.product_c_cases:
-        reports.append(verify_type_c_product(n_max, q))
-    reports.append(verify_unimodal_product(p.product_unimodal_max))
-    reports.append(series.reiner_identity_check(*p.reiner))
-    for n in range(2, p.reciprocity_formula_max + 1):
-        for q in range(2, p.reciprocity_formula_max + 1):
-            brute = n <= p.reciprocity_brute_max and q <= p.reciprocity_brute_max
-            reports.append(verify_reciprocity(n, q, brute=brute))
-    reports.append(verify_limit_law(*p.limit_law))
-    reports.append(verify_sampler(*p.sampler))
-
+    for name in names:
+        function, cases = CHECKS[name]
+        reports.extend(function(*args) for args in cases[profile])
     reports.sort(key=lambda r: (r.check_name, repr(r.parameters)))
     return reports
+
+
+def verify_all(profile: str = "quick") -> list[VerificationReport]:
+    """Run every registered check at the named profile's sizes."""
+    return run_checks(CHECKS, profile)

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 __all__ = [
     "IntPolynomial",
+    "power",
     "mobius",
     "divisors",
     "binomial",
@@ -23,6 +24,23 @@ __all__ = [
     "bounded_partition_count",
     "aperiodic_necklaces_with_sum",
 ]
+
+
+def power(base, exponent: int, one):
+    """``base`` to a nonnegative integer power by square-and-multiply.
+
+    ``one`` is the multiplicative identity of ``base``'s ring; only ``*`` is used.
+    """
+    if exponent < 0:
+        raise ValueError("negative exponent")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 def divisors(n: int) -> list[int]:
@@ -155,17 +173,7 @@ class IntPolynomial:
         return IntPolynomial(tuple(out))
 
     def __pow__(self, exponent: int) -> "IntPolynomial":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = IntPolynomial((1,))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, IntPolynomial((1,)))
 
     def shift(self, amount: int) -> "IntPolynomial":
         return IntPolynomial((0,) * amount + self.coeffs)

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .numth import binomial, divisors, mobius
+from .numth import binomial, divisors, mobius, power
 from .perm import all_signed_permutations, cycle_type, type_c_stats
 from .report import CheckTimer, VerificationReport
+from .unimodal import transitive_unimodal_count
 
 __all__ = [
     "TruncatedSeries",
@@ -43,9 +44,6 @@ def make_monomial(exps: Mapping[str, int]) -> Monomial:
     return tuple(sorted((v, e) for v, e in exps.items() if e != 0))
 
 
-_make_monomial = make_monomial
-
-
 def _u_degree(mono: Monomial) -> int:
     for var, exp in mono:
         if var == "u":
@@ -57,7 +55,7 @@ def _merge(a: Monomial, b: Monomial) -> Monomial:
     exps: dict[str, int] = dict(a)
     for var, e in b:
         exps[var] = exps.get(var, 0) + e
-    return _make_monomial(exps)
+    return make_monomial(exps)
 
 
 @dataclass(frozen=True)
@@ -94,10 +92,10 @@ class TruncatedSeries:
 
     @classmethod
     def term(cls, coeff, exps: Mapping[str, int], truncation: int) -> "TruncatedSeries":
-        return cls(truncation, {_make_monomial(exps): Fraction(coeff)})
+        return cls(truncation, {make_monomial(exps): Fraction(coeff)})
 
     def coefficient(self, exps: Mapping[str, int]) -> Fraction:
-        return self.terms.get(_make_monomial(exps), Fraction(0))
+        return self.terms.get(make_monomial(exps), Fraction(0))
 
     def _check_compatible(self, other: "TruncatedSeries") -> None:
         if self.truncation != other.truncation:
@@ -136,17 +134,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.truncation, out)
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = TruncatedSeries.one(self.truncation)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, TruncatedSeries.one(self.truncation))
 
     def min_u_degree(self) -> int | None:
         if not self.terms:
@@ -237,14 +225,6 @@ def rhs_type_c_product(q: int, truncation: int) -> TruncatedSeries:
     return result
 
 
-def _transitive_unimodal_exponent(i: int) -> int:
-    total = sum(mobius(d) * 2 ** (i // d) for d in divisors(i) if d % 2)
-    value, rem = divmod(total, 2 * i)
-    if rem or value < 0:
-        raise ArithmeticError(f"unimodal product exponent not integral at i={i}")
-    return value
-
-
 def rhs_unimodal_product(truncation: int) -> TruncatedSeries:
     """Cycle index product for unimodal permutations, by cycle length.
 
@@ -256,7 +236,7 @@ def rhs_unimodal_product(truncation: int) -> TruncatedSeries:
     N = truncation
     result = TruncatedSeries.one(N)
     for i in range(1, N + 1):
-        t_i = _transitive_unimodal_exponent(i)
+        t_i = transitive_unimodal_count(i)
         if t_i == 0:
             continue
         g = TruncatedSeries.term(Fraction(1, 2**i), {f"x{i}": 1, "u": i}, N)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from affine_shuffles.cli import main
+from affine_shuffles.harness import CHECKS
 
 
 def run(capsys, *argv):
@@ -123,3 +124,39 @@ def test_bad_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["measure", "--family", "Z", "--n", "2", "--k", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["measure", "--family", "A", "--n", "3", "--k", "2", "--element", "1,2,3,4"],
+                 id="element-not-on-n-symbols"),
+    pytest.param(["measure", "--family", "A", "--n", "3", "--k", "2", "--element", "1,2,x"],
+                 id="element-not-integer"),
+    pytest.param(["measure", "--family", "A", "--n", "3", "--k", "0"], id="measure-k-0"),
+    pytest.param(["measure", "--family", "A", "--n", "0", "--k", "2"], id="measure-n-0"),
+    pytest.param(["--decimal", "-1", "measure", "--family", "A", "--n", "2", "--k", "2"],
+                 id="negative-decimal"),
+    pytest.param(["unimodal", "--n", "0"], id="unimodal-n-0"),
+    pytest.param(["sample", "--model", "affine-c", "--n", "3", "--seed", "1", "--count", "-5"],
+                 id="negative-count"),
+    pytest.param(["sample", "--model", "riffle", "--n", "3", "--k", "0", "--seed", "1"],
+                 id="sample-k-0"),
+    pytest.param(["--json", "--csv", "measure", "--family", "A", "--n", "2", "--k", "2"],
+                 id="json-and-csv"),
+])
+def test_rejected_input_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_verify_every_registered_check(capsys, name):
+    # every registry key is reachable by name and labels each of its reports with that key
+    code, out = run(capsys, "--json", "verify", name, "--profile", "quick")
+    assert code == 0
+    reports = json.loads(out)
+    assert len(reports) == len(CHECKS[name][1]["quick"])
+    assert {r["check"] for r in reports} == {name}

@@ -193,6 +193,9 @@ def test_int_polynomial_arithmetic():
     p = IntPolynomial((1, 1))
     assert (p * p).coeffs == (1, 2, 1)
     assert (p**3).coeffs == (1, 3, 3, 1)
+    assert (p**0).coeffs == (1,)
+    with pytest.raises(ValueError):
+        p**-1
     assert (p + IntPolynomial((-1, -1))).coeffs == ()
     assert p.shift(2).coeffs == (0, 0, 1, 1)
     assert IntPolynomial((0, 0)).degree == -1
