@@ -64,7 +64,6 @@ from .series import (
     rhs_unimodal_product,
 )
 from .shuffles import (
-    Distribution,
     affine_a_2shuffle_distribution,
     affine_a_2shuffle_sample,
     affine_c_shuffle_distribution,

@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -130,8 +131,10 @@ def _cmd_sample(args: argparse.Namespace, out: _Output) -> int:
             element = shuffles.affine_c_shuffle_sample(args.n, args.k, rng)
         lines.append(element.to_text())
     if out.as_json:
-        out.emit_json({"model": args.model, "n": args.n, "k": args.k,
-                       "seed": args.seed, "draws": lines})
+        payload = {"model": args.model, "n": args.n, "seed": args.seed, "draws": lines}
+        if args.model != "affine-a":
+            payload["k"] = args.k
+        out.emit_json(payload)
     else:
         out.emit("\n".join(lines))
     return 0
@@ -184,6 +187,21 @@ def _parse_element(parser: argparse.ArgumentParser, args: argparse.Namespace):
     return element
 
 
+_NEGATIVE_ELEMENT = re.compile(r"-\d+(,-?\d+)*")
+
+
+def _attach_element_values(argv: list[str]) -> list[str]:
+    """``--element -1,2`` as ``--element=-1,2``: argparse would read a separate
+    value with a leading minus as an option and report the value missing."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--element" and _NEGATIVE_ELEMENT.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="affine-shuffles",
@@ -214,7 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--model", choices=("riffle", "affine-a", "affine-c"),
                         required=True)
     sample.add_argument("--n", type=_int_at_least(1), required=True)
-    sample.add_argument("--k", type=_int_at_least(1), default=2)
+    sample.add_argument("--k", type=_int_at_least(1),
+                        help="number of piles for riffle and affine-c (default 2); "
+                        "affine-a is the fixed two-pile cut and takes none")
     sample.add_argument("--seed", type=int, required=True)
     sample.add_argument("--count", type=_int_at_least(0), default=1)
 
@@ -228,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_element_values(sys.argv[1:] if argv is None else argv))
     out = _Output(args)
     if args.command == "measure":
         if args.element is not None:
@@ -237,6 +257,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         return _cmd_verify(args, out)
     if args.command == "sample":
+        if args.model == "affine-a" and args.k is not None:
+            parser.error("argument --k: not allowed with --model affine-a, "
+                         "the fixed two-pile cut")
+        if args.k is None:
+            args.k = 2
         return _cmd_sample(args, out)
     if args.command == "unimodal":
         return _cmd_unimodal(args, out)

@@ -10,6 +10,14 @@ terms of the cyclic descent number cd(w) and the major index maj(w):
 4. a Ramanujan-sum expression via the von Sterneck count, with two special
    branches at k = cd(w).
 
+Not all four are independent.  Methods 1 and 3 compute the same residue sum
+over the coefficients of the same cached ``q_binomial(k+n-cd-1, n-1)``.
+Method 2 is its transpose, equal to method 1 only by the symmetry of the
+q-binomial.  So the five type A routes to x_k(w) (these four and
+``cellini.x_k_type_a_lattice``) rest on three independent arguments: the
+partition count, the von Sterneck/Ramanujan sum, and the alcove/lattice
+count.  ``method`` keeps all four values because the benchmark calls each.
+
 Type C has a single binomial formula, split by the parity of k, in terms of
 the descent number d(w) (k odd) or the cyclic descent number cd(w) (k even).
 """
@@ -90,17 +98,11 @@ def x_k_type_c(w: SignedPermutation, k: int) -> Fraction:
 def x_k_measure_type_a(n: int, k: int, method: int = 1) -> GroupAlgebraElement:
     """The whole type A element, from the chosen closed form."""
     coeffs = {w: x_k_type_a(w, k, method) for w in all_permutations(n)}
-    element = GroupAlgebraElement(GroupKind("A", n), coeffs)
-    if element.total() != 1:
-        raise AssertionError(f"type A closed form sums to {element.total()}, not 1")
-    return element
+    return GroupAlgebraElement.probability(GroupKind("A", n), coeffs)
 
 
 @lru_cache(maxsize=None)
 def x_k_measure_type_c(n: int, k: int) -> GroupAlgebraElement:
     """The whole type C element, from the binomial closed form."""
     coeffs = {w: x_k_type_c(w, k) for w in all_signed_permutations(n)}
-    element = GroupAlgebraElement(GroupKind("C", n), coeffs)
-    if element.total() != 1:
-        raise AssertionError(f"type C closed form sums to {element.total()}, not 1")
-    return element
+    return GroupAlgebraElement.probability(GroupKind("C", n), coeffs)

@@ -26,7 +26,7 @@ from .perm import (
     invert_element,
 )
 from .numth import binomial, von_sterneck
-from .report import CheckTimer, VerificationReport
+from .report import CheckTimer, VerificationReport, first_difference
 
 __all__ = [
     "CHECKS",
@@ -67,9 +67,8 @@ def verify_dmp(family: str, n: int, q: int, fault_injection: bool = False) -> Ve
         params["fault_injection"] = True
 
     generic = cellini.x_k_generic(_root_system(family, n), q)
-    shuffle_masses: dict = {}
     if family == "A":
-        poly_masses = dict(fq.sl_class_measure(n, q).masses)
+        polynomial = fq.sl_class_measure(n, q)
         for w in all_permutations(n):
             values = [closed_forms.x_k_type_a(w, q, method) for method in (1, 2, 3, 4)]
             values.append(cellini.x_k_type_a_lattice(w, q))
@@ -80,10 +79,8 @@ def verify_dmp(family: str, n: int, q: int, fault_injection: bool = False) -> Ve
                     {"element": w.to_text(),
                      "values (methods 1-4, lattice, generic)": values},
                 )
-            t = cycle_type(w)
-            shuffle_masses[t] = shuffle_masses.get(t, Fraction(0)) + values[0]
     else:
-        poly_masses = dict(fq.sp_class_measure(n, q).masses)
+        polynomial = fq.sp_class_measure(n, q)
         for w in all_signed_permutations(n):
             closed = closed_forms.x_k_type_c(w, q)
             if closed != generic.coefficient(w):
@@ -92,25 +89,23 @@ def verify_dmp(family: str, n: int, q: int, fault_injection: bool = False) -> Ve
                     {"element": w.to_text(), "closed_form": closed,
                      "lattice": generic.coefficient(w)},
                 )
-            if closed:
-                t = cycle_type(w)
-                shuffle_masses[t] = shuffle_masses.get(t, Fraction(0)) + closed
 
-    if fault_injection and shuffle_masses:
+    # Every route agreed elementwise, so the generic element stands for all.
+    shuffle_masses = dict(generic.class_measure().masses)
+    if fault_injection:
         first = sorted(shuffle_masses, key=repr)[0]
         shuffle_masses[first] += Fraction(1, 10**6)
 
-    for t in sorted(set(poly_masses) | set(shuffle_masses), key=repr):
-        left = poly_masses.get(t, Fraction(0))
-        right = shuffle_masses.get(t, Fraction(0))
-        if left != right:
-            return timer.report(
-                "dmp", params,
-                {"class": repr(t), "polynomial_side": left, "shuffle_side": right},
-            )
+    bad = first_difference(polynomial.masses, shuffle_masses, key=repr)
+    if bad is not None:
+        return timer.report(
+            "dmp", params,
+            {"class": repr(bad), "polynomial_side": polynomial.mass(bad),
+             "shuffle_side": shuffle_masses.get(bad, Fraction(0))},
+        )
     return timer.report(
         "dmp", params, None,
-        notes=f"{len(poly_masses)} classes compared exactly",
+        notes=f"{len(polynomial.masses)} classes compared exactly",
     )
 
 
@@ -135,18 +130,20 @@ def verify_measure_totals(cases: tuple[tuple[str, int, int], ...]) -> Verificati
     timer = CheckTimer()
     params = {"cases": list(cases)}
     for family, n, k in cases:
-        element = cellini.x_k_generic(_root_system(family, n), k)  # total == 1 asserted inside
-        if any(c < 0 for c in element.coeffs.values()):
+        rs = _root_system(family, n)
+        try:
+            cellini.x_k_generic(rs, k)
+        except ValueError as exc:  # probability() saw a negative mass or a total other than 1
             return timer.report(
                 "measure_totals", params,
-                {"family": family, "n": n, "k": k, "issue": "negative coefficient"},
+                {"family": family, "n": n, "k": k, "issue": str(exc)},
             )
     return timer.report("measure_totals", params, None)
 
 
-def _orientation_notes(model_masses: dict, measure) -> tuple[dict | None, str]:
-    inverse_match = model_masses == invert_element(measure).coeffs
-    direct_match = model_masses == measure.coeffs
+def _orientation_notes(model, measure) -> tuple[dict | None, str]:
+    inverse_match = model == invert_element(measure)
+    direct_match = model == measure
     if inverse_match and direct_match:
         return None, "model matches both orientations (measure is inversion-symmetric)"
     if inverse_match:
@@ -165,7 +162,7 @@ def verify_shuffle_model_a(n: int) -> VerificationReport:
     params = {"n": n}
     model = shuffles.affine_a_2shuffle_distribution(n)
     measure = closed_forms.x_k_measure_type_a(n, 2)
-    witness, notes = _orientation_notes(dict(model.masses), measure)
+    witness, notes = _orientation_notes(model, measure)
     return timer.report("shuffle_model_a", params, witness, notes=notes)
 
 
@@ -175,7 +172,7 @@ def verify_shuffle_model_c(n: int, k: int) -> VerificationReport:
     params = {"n": n, "k": k}
     model = shuffles.affine_c_shuffle_distribution(n, k)
     measure = closed_forms.x_k_measure_type_c(n, k)
-    witness, notes = _orientation_notes(dict(model.masses), measure)
+    witness, notes = _orientation_notes(model, measure)
     return timer.report("shuffle_model_c", params, witness, notes=notes)
 
 
@@ -305,9 +302,8 @@ def verify_type_c_product(n_max: int, q: int) -> VerificationReport:
         for t, mass in fq.sp_class_measure(n, q).masses.items():
             mono = series.make_monomial(series.signed_type_monomial(t))
             expected[mono] = mass * q**n
-        if got != expected:
-            keys = sorted(set(got) | set(expected), key=repr)
-            bad = next(k for k in keys if got.get(k, 0) != expected.get(k, 0))
+        bad = first_difference(got, expected, key=repr)
+        if bad is not None:
             return timer.report(
                 "type_c_product", params,
                 {"n": n, "monomial": dict(bad),
@@ -331,9 +327,8 @@ def verify_unimodal_product(n_max: int) -> VerificationReport:
                 exps[f"x{part}"] = exps.get(f"x{part}", 0) + 1
             mono = series.make_monomial(exps)
             expected[mono] = expected.get(mono, Fraction(0)) + 1
-        if got != expected:
-            keys = sorted(set(got) | set(expected), key=repr)
-            bad = next(k for k in keys if got.get(k, 0) != expected.get(k, 0))
+        bad = first_difference(got, expected, key=repr)
+        if bad is not None:
             return timer.report(
                 "unimodal_product", params,
                 {"n": n, "monomial": dict(bad),
@@ -422,8 +417,8 @@ def verify_sampler(
     for _ in range(draws):
         counts[shuffles.affine_c_shuffle_sample(n, k, rng)] += 1
     sup = 0.0
-    for w in set(exact.masses) | set(counts):
-        sup = max(sup, abs(counts[w] / draws - float(exact.mass(w))))
+    for w in set(exact.coeffs) | set(counts):
+        sup = max(sup, abs(counts[w] / draws - float(exact.coefficient(w))))
     witness = None if sup <= tolerance else {"sup_norm": sup}
     return timer.report(
         "sampler_sanity", params, witness, notes=f"sup-norm deviation {sup:.4f}"

@@ -168,7 +168,7 @@ GroupElement = Union[Permutation, SignedPermutation]
 
 
 class GroupKind(NamedTuple):
-    """Which group an algebra element or distribution lives on.
+    """Which group an algebra element lives on.
 
     family "A" means S_n on n symbols (Weyl group of type A_{n-1});
     family "C" means the signed permutations C_n.
@@ -363,19 +363,23 @@ def descent_histograms(n: int) -> HistogramPair:
 
 @dataclass(frozen=True)
 class GroupAlgebraElement:
-    """Sparse rational combination of group elements; zero terms are omitted."""
+    """Sparse rational combination of group elements; zero terms are omitted.
+
+    Exact measures on the group, such as the x_k elements and the shuffle
+    models' outcome distributions, are the elements built by ``probability``.
+    """
 
     kind: GroupKind
     coeffs: Mapping[GroupElement, Fraction]
 
     def __post_init__(self) -> None:
         _check_family(self.kind.family)
+        expected = Permutation if self.kind.family == "A" else SignedPermutation
         cleaned = {}
         for w, c in self.coeffs.items():
             c = Fraction(c)
             if w.n != self.kind.n:
                 raise ValueError(f"element {w!r} does not belong to {self.kind}")
-            expected = Permutation if self.kind.family == "A" else SignedPermutation
             if not isinstance(w, expected):
                 raise ValueError(f"element {w!r} has wrong type for family {self.kind.family}")
             if c != 0:
@@ -409,6 +413,14 @@ class GroupAlgebraElement:
     def delta(cls, kind: GroupKind, w: GroupElement) -> "GroupAlgebraElement":
         return cls(kind, {w: Fraction(1)})
 
+    @classmethod
+    def probability(cls, kind: GroupKind, coeffs: Mapping) -> "GroupAlgebraElement":
+        """A probability element: raises ValueError, naming the total, unless
+        every coefficient is nonnegative and they sum to exactly 1."""
+        element = cls(kind, coeffs)
+        _require_probability(element.coeffs)
+        return element
+
     def class_measure(self) -> "ClassMeasure":
         """Push a probability element forward to conjugacy classes."""
         masses: dict = {}
@@ -416,6 +428,14 @@ class GroupAlgebraElement:
             t = cycle_type(w)
             masses[t] = masses.get(t, Fraction(0)) + c
         return ClassMeasure(masses)
+
+
+def _require_probability(masses: Mapping) -> None:
+    total = sum(masses.values(), Fraction(0))
+    if total != 1 or any(m < 0 for m in masses.values()):
+        raise ValueError(
+            f"masses must be nonnegative and sum to exactly 1; they sum to {total}"
+        )
 
 
 def convolve(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -443,10 +463,7 @@ class ClassMeasure:
 
     def __post_init__(self) -> None:
         cleaned = {t: Fraction(m) for t, m in self.masses.items() if m != 0}
-        if any(m < 0 for m in cleaned.values()):
-            raise ValueError("class masses must be nonnegative")
-        if sum(cleaned.values(), Fraction(0)) != 1:
-            raise ValueError("class masses must sum to exactly 1")
+        _require_probability(cleaned)
         object.__setattr__(self, "masses", cleaned)
 
     def mass(self, t: CycleType | SignedCycleType) -> Fraction:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, Mapping
 
 
 @dataclass(frozen=True)
@@ -81,3 +81,13 @@ class CheckTimer:
             elapsed=time.perf_counter() - self.start,
             notes=notes,
         )
+
+
+def first_difference(left: Mapping, right: Mapping, key: Callable | None = None) -> Any:
+    """The first key, in ``sorted(..., key=key)`` order, whose values differ
+    between the two maps, a missing key counting as 0; None when they agree.
+    Checks put this key in their witness, so the order fixes the witness."""
+    for k in sorted(set(left) | set(right), key=key):
+        if left.get(k, 0) != right.get(k, 0):
+            return k
+    return None

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .numth import binomial, divisors, mobius, power
 from .perm import all_signed_permutations, cycle_type, type_c_stats
-from .report import CheckTimer, VerificationReport
+from .report import CheckTimer, VerificationReport, first_difference
 from .unimodal import transitive_unimodal_count
 
 __all__ = [
@@ -299,11 +299,8 @@ def reiner_identity_check(n_max: int, k_max: int) -> VerificationReport:
                 exps["u"] = n
                 lhs = lhs + TruncatedSeries.term(weight, exps, n_max)
         rhs = rhs_type_c_product(q, n_max)
-        if lhs.terms != rhs.terms:
-            bad = next(
-                m for m in sorted(set(lhs.terms) | set(rhs.terms))
-                if lhs.terms.get(m, Fraction(0)) != rhs.terms.get(m, Fraction(0))
-            )
+        bad = first_difference(lhs.terms, rhs.terms)
+        if bad is not None:
             return timer.report(
                 "reiner_identity", params,
                 {

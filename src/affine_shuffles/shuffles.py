@@ -9,20 +9,22 @@ Conventions, fixed once and validated against the closed-form measures:
   distribution equals the *inverse* of the corresponding affine shuffle
   element.
 
-All exact distributions are enumerated as rationals; the samplers use a
-caller-supplied seeded generator and never touch global randomness.
+Each exact distribution is enumerated as a probability element of the group
+algebra (``GroupAlgebraElement.probability``), the same type as the x_k
+elements it inverts; the samplers use a caller-supplied seeded generator and
+never touch global randomness.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .numth import binomial
 from .perm import (
+    GroupAlgebraElement,
     GroupElement,
     GroupKind,
     Permutation,
@@ -34,8 +36,6 @@ from .perm import (
 from .report import CheckTimer, VerificationReport
 
 __all__ = [
-    "Distribution",
-    "ShuffleOutcome",
     "riffle_distribution",
     "riffle_sample",
     "affine_c_shuffle_distribution",
@@ -48,49 +48,6 @@ __all__ = [
     "tv_affine_c_to_uniform",
     "theorem_tv_check",
 ]
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """Probability distribution on a finite group, exact masses."""
-
-    kind: GroupKind
-    masses: Mapping[GroupElement, Fraction]
-
-    def __post_init__(self) -> None:
-        cleaned = {w: Fraction(m) for w, m in self.masses.items() if m != 0}
-        if any(m < 0 for m in cleaned.values()):
-            raise ValueError("masses must be nonnegative")
-        if sum(cleaned.values(), Fraction(0)) != 1:
-            raise ValueError("masses must sum to exactly 1")
-        object.__setattr__(self, "masses", cleaned)
-
-    def mass(self, w: GroupElement) -> Fraction:
-        return self.masses.get(w, Fraction(0))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Distribution):
-            return NotImplemented
-        return self.kind == other.kind and self.masses == other.masses
-
-
-@dataclass(frozen=True)
-class ShuffleOutcome:
-    """One resolved (cut, interleaving) draw of a shuffle model."""
-
-    cut_sizes: tuple[int, ...]
-    interleaving: tuple[int, ...]
-    element: GroupElement
-
-    def __post_init__(self) -> None:
-        if sum(self.cut_sizes) != self.element.n:
-            raise ValueError("cut sizes must sum to the deck size")
-        from collections import Counter
-
-        if Counter(self.interleaving) != {
-            s: j for s, j in enumerate(self.cut_sizes) if j
-        }:
-            raise ValueError("interleaving word does not match the cut sizes")
 
 
 def _multiset_permutations(multiplicities: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -127,24 +84,21 @@ def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
 # GSR riffle shuffles
 # ---------------------------------------------------------------------------
 
-def riffle_distribution(n: int, k: int) -> Distribution:
+def riffle_distribution(n: int, k: int) -> GroupAlgebraElement:
     """Exact k-pile riffle measure: P(w) = binom(k + n - d(w) - 1, n) / k^n.
 
-    The Worpitzky identity sum_r A_r binom(k+n-r-1, n) = k^n is asserted as a
-    side check.
+    Its sum-to-1 guard is the Worpitzky identity
+    sum_r A_r binom(k+n-r-1, n) = k^n.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    A = descent_histograms(n).A
-    if sum(A[r] * binomial(k + n - r - 1, n) for r in range(n)) != k**n:
-        raise AssertionError("Worpitzky identity failed")
     masses = {}
     for w in all_permutations(n):
         d = len(type_a_stats(w).descents)
         mass = Fraction(binomial(k + n - d - 1, n), k**n)
         if mass:
             masses[w] = mass
-    return Distribution(GroupKind("A", n), masses)
+    return GroupAlgebraElement.probability(GroupKind("A", n), masses)
 
 
 def _stacks_for_cut(n: int, sizes: tuple[int, ...], flip_odd_indexed: bool | None) -> list[list[int]]:
@@ -208,15 +162,16 @@ def _weighted_interleaving(sizes: tuple[int, ...], rng: random.Random) -> tuple[
 # Affine type C k-shuffles
 # ---------------------------------------------------------------------------
 
-def _affine_c_outcomes(n: int, k: int) -> Iterator[ShuffleOutcome]:
+def _affine_c_outcomes(n: int, k: int) -> Iterator[SignedPermutation]:
+    # One outcome per (cut, interleaving) pair, so an element may repeat.
     flip_odd = k % 2 == 0  # odd k flips even stacks, even k flips odd stacks
     for sizes in _compositions(n, k):
         stacks = _stacks_for_cut(n, sizes, flip_odd)
         for word in _multiset_permutations(sizes):
-            yield ShuffleOutcome(sizes, word, SignedPermutation(_merge(stacks, word)))
+            yield SignedPermutation(_merge(stacks, word))
 
 
-def affine_c_shuffle_distribution(n: int, k: int) -> Distribution:
+def affine_c_shuffle_distribution(n: int, k: int) -> GroupAlgebraElement:
     """Exact outcome distribution of the k-stack flip-and-riffle model.
 
     Cut multinomially into k stacks, flip the even-numbered stacks when k is
@@ -225,15 +180,12 @@ def affine_c_shuffle_distribution(n: int, k: int) -> Distribution:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
+    # The sum-to-1 guard also checks that k^n outcomes were enumerated.
     masses: dict[GroupElement, Fraction] = {}
     step = Fraction(1, k**n)
-    count = 0
     for outcome in _affine_c_outcomes(n, k):
-        masses[outcome.element] = masses.get(outcome.element, Fraction(0)) + step
-        count += 1
-    if count != k**n:
-        raise AssertionError(f"enumerated {count} outcomes, expected {k**n}")
-    return Distribution(GroupKind("C", n), masses)
+        masses[outcome] = masses.get(outcome, Fraction(0)) + step
+    return GroupAlgebraElement.probability(GroupKind("C", n), masses)
 
 
 def affine_c_shuffle_sample(n: int, k: int, rng: random.Random | int) -> SignedPermutation:
@@ -249,7 +201,7 @@ def affine_c_shuffle_sample(n: int, k: int, rng: random.Random | int) -> SignedP
 
 def two_shuffle_outcomes(n: int) -> list[SignedPermutation]:
     """The 2^n distinct outcomes of the k = 2 model, in enumeration order."""
-    return [outcome.element for outcome in _affine_c_outcomes(n, 2)]
+    return list(_affine_c_outcomes(n, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +217,7 @@ def _affine_a_second_pile(n: int, j: int) -> tuple[list[int], list[int]]:
     return first, bottom + top
 
 
-def affine_a_2shuffle_distribution(n: int) -> Distribution:
+def affine_a_2shuffle_distribution(n: int) -> GroupAlgebraElement:
     """Exact outcome distribution of the two-pile model on n cards.
 
     Choose an even 2j with probability binom(n, 2j)/2^{n-1}; build the second
@@ -287,7 +239,7 @@ def affine_a_2shuffle_distribution(n: int) -> Distribution:
         for word in interleavings:
             w = Permutation(_merge(stacks, word))
             masses[w] = masses.get(w, Fraction(0)) + per_word
-    return Distribution(GroupKind("A", n), masses)
+    return GroupAlgebraElement.probability(GroupKind("A", n), masses)
 
 
 def affine_a_2shuffle_sample(n: int, rng: random.Random | int) -> Permutation:
@@ -308,17 +260,17 @@ def affine_a_2shuffle_sample(n: int, rng: random.Random | int) -> Permutation:
 # Total variation distance
 # ---------------------------------------------------------------------------
 
-def total_variation(d1: Distribution, d2: Distribution) -> Fraction:
+def total_variation(d1: GroupAlgebraElement, d2: GroupAlgebraElement) -> Fraction:
     """Half the L1 distance between two distributions on the same group."""
     if d1.kind != d2.kind:
         raise ValueError(f"mismatched groups: {d1.kind} vs {d2.kind}")
-    support = set(d1.masses) | set(d2.masses)
-    return sum((abs(d1.mass(w) - d2.mass(w)) for w in support), Fraction(0)) / 2
+    support = set(d1.coeffs) | set(d2.coeffs)
+    return sum((abs(d1.coefficient(w) - d2.coefficient(w)) for w in support), Fraction(0)) / 2
 
 
-def uniform_distribution(kind: GroupKind) -> Distribution:
+def uniform_distribution(kind: GroupKind) -> GroupAlgebraElement:
     mass = Fraction(1, kind.order())
-    return Distribution(kind, {w: mass for w in kind.elements()})
+    return GroupAlgebraElement.probability(kind, {w: mass for w in kind.elements()})
 
 
 def tv_riffle_to_uniform(n: int, k: int) -> Fraction:

@@ -87,13 +87,13 @@ def test_criterion_05_shuffle_models():
     ok = True
     for n in range(2, 7):
         model = shuffles.affine_a_2shuffle_distribution(n)
-        ok = ok and dict(model.masses) == invert_element(
+        ok = ok and dict(model.coeffs) == invert_element(
             closed_forms.x_k_measure_type_a(n, 2)
         ).coeffs
     for n in range(1, 4):
         for k in range(1, 7):
             model = shuffles.affine_c_shuffle_distribution(n, k)
-            ok = ok and dict(model.masses) == invert_element(
+            ok = ok and dict(model.coeffs) == invert_element(
                 closed_forms.x_k_measure_type_c(n, k)
             ).coeffs
     _announce(5, ok, "models equal inverted elements: type A n <= 6, type C n <= 3, k <= 6")

@@ -31,6 +31,16 @@ def test_measure_single_element(capsys):
     assert out.strip() == "1/3"
 
 
+def test_measure_element_with_leading_minus(capsys):
+    # argparse alone would read "-1,2" as an option and exit 2
+    code, out = run(
+        capsys, "measure", "--family", "C", "--n", "2", "--k", "3",
+        "--element", "-1,2",
+    )
+    assert code == 0
+    assert out.strip() == "1/9"
+
+
 def test_measure_decimal_rendering(capsys):
     # the affine 2-shuffle on S_2 is uniform: both elements carry 1/2
     code, out = run(
@@ -86,9 +96,9 @@ def test_sample_deterministic(capsys):
 
 
 def test_sample_models(capsys):
-    for model in ("riffle", "affine-a", "affine-c"):
+    for model, piles in (("riffle", ["--k", "2"]), ("affine-a", []), ("affine-c", ["--k", "2"])):
         code, out = run(
-            capsys, "sample", "--model", model, "--n", "4", "--k", "2",
+            capsys, "sample", "--model", model, "--n", "4", *piles,
             "--seed", "1", "--count", "3",
         )
         assert code == 0
@@ -140,6 +150,8 @@ def test_bad_arguments_exit_2(capsys):
                  id="negative-count"),
     pytest.param(["sample", "--model", "riffle", "--n", "3", "--k", "0", "--seed", "1"],
                  id="sample-k-0"),
+    pytest.param(["sample", "--model", "affine-a", "--n", "3", "--k", "7", "--seed", "1"],
+                 id="affine-a-with-k"),
     pytest.param(["--json", "--csv", "measure", "--family", "A", "--n", "2", "--k", "2"],
                  id="json-and-csv"),
 ])

@@ -15,7 +15,7 @@ from affine_shuffles.harness import (
     verify_shuffle_model_a,
     verify_shuffle_model_c,
 )
-from affine_shuffles.report import VerificationReport
+from affine_shuffles.report import VerificationReport, first_difference
 
 
 def test_dmp_frozen_passes():
@@ -69,6 +69,16 @@ def test_limit_law_smoke():
 
 def test_sampler_check_small():
     assert verify_sampler(2, 2, 20000, 0.03, 123).passed
+
+
+def test_first_difference():
+    left = {"a": 1, "b": 2, "c": 3}
+    assert first_difference(left, dict(left)) is None
+    assert first_difference(left, {"a": 1, "b": 5, "c": 4}) == "b"
+    assert first_difference(left, {"a": 1, "b": 5, "c": 4}, key=lambda k: -ord(k)) == "c"
+    # a missing key counts as 0
+    assert first_difference({"a": 1, "z": 0}, {"a": 1}) is None
+    assert first_difference({"a": 1}, {"a": 1, "b": 2}) == "b"
 
 
 def test_eta_worked_example_report():

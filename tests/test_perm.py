@@ -271,6 +271,18 @@ def test_class_measure_validation():
         ClassMeasure({CycleType((1,)): Fraction(3, 2), CycleType((2,)): Fraction(-1, 2)})
 
 
+def test_probability_validation():
+    kind = GroupKind("A", 2)
+    with pytest.raises(ValueError, match="sum to 1/2"):
+        GroupAlgebraElement.probability(kind, {perm("1,2"): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="nonnegative"):
+        GroupAlgebraElement.probability(
+            kind, {perm("1,2"): Fraction(3, 2), perm("2,1"): Fraction(-1, 2)}
+        )
+    uniform = {perm("1,2"): Fraction(1, 2), perm("2,1"): Fraction(1, 2)}
+    assert GroupAlgebraElement.probability(kind, uniform) == GroupAlgebraElement(kind, uniform)
+
+
 def test_class_measure_from_element():
     measure = C2_MEASURE.class_measure()
     assert measure.mass(SignedCycleType((1, 1), ())) == Fraction(1, 4)

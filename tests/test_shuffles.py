@@ -14,7 +14,6 @@ from affine_shuffles.perm import (
     invert_element,
 )
 from affine_shuffles.shuffles import (
-    Distribution,
     affine_a_2shuffle_distribution,
     affine_a_2shuffle_sample,
     affine_c_shuffle_distribution,
@@ -38,13 +37,13 @@ def sperm(text):
 
 def test_riffle_one_pile_is_identity():
     d = riffle_distribution(2, 1)
-    assert dict(d.masses) == {Permutation.identity(2): Fraction(1)}
+    assert dict(d.coeffs) == {Permutation.identity(2): Fraction(1)}
 
 
 def test_riffle_two_cards():
     d = riffle_distribution(2, 2)
-    assert d.mass(Permutation((1, 2))) == Fraction(3, 4)
-    assert d.mass(Permutation((2, 1))) == Fraction(1, 4)
+    assert d.coefficient(Permutation((1, 2))) == Fraction(3, 4)
+    assert d.coefficient(Permutation((2, 1))) == Fraction(1, 4)
 
 
 def test_worpitzky_check_n3_k2():
@@ -56,7 +55,7 @@ def test_riffle_sampler_matches_distribution():
     rng = random.Random(7)
     counts = Counter(riffle_sample(3, 2, rng) for _ in range(20000))
     exact = riffle_distribution(3, 2)
-    for w, mass in exact.masses.items():
+    for w, mass in exact.coeffs.items():
         assert abs(counts[w] / 20000 - float(mass)) < 0.02
 
 
@@ -64,7 +63,7 @@ def test_riffle_sampler_matches_distribution():
 
 def test_affine_c_exact_n2_k2():
     d = affine_c_shuffle_distribution(2, 2)
-    assert dict(d.masses) == {
+    assert dict(d.coeffs) == {
         sperm("1,2"): Fraction(1, 4),
         sperm("-2,-1"): Fraction(1, 4),
         sperm("-1,2"): Fraction(1, 4),
@@ -73,11 +72,11 @@ def test_affine_c_exact_n2_k2():
 
 
 def test_affine_c_exact_one_card():
-    assert dict(affine_c_shuffle_distribution(1, 3).masses) == {
+    assert dict(affine_c_shuffle_distribution(1, 3).coeffs) == {
         sperm("1"): Fraction(2, 3),
         sperm("-1"): Fraction(1, 3),
     }
-    assert dict(affine_c_shuffle_distribution(1, 2).masses) == {
+    assert dict(affine_c_shuffle_distribution(1, 2).coeffs) == {
         sperm("1"): Fraction(1, 2),
         sperm("-1"): Fraction(1, 2),
     }
@@ -88,7 +87,7 @@ def test_affine_c_model_inverts_measure():
         for k in range(1, 7):
             model = affine_c_shuffle_distribution(n, k)
             expected = invert_element(x_k_measure_type_c(n, k)).coeffs
-            assert dict(model.masses) == expected, (n, k)
+            assert dict(model.coeffs) == expected, (n, k)
 
 
 def test_two_shuffle_outcomes_are_distinct():
@@ -111,15 +110,15 @@ def test_affine_c_sampler_close_to_exact():
     draws = 20000
     counts = Counter(affine_c_shuffle_sample(3, 2, rng) for _ in range(draws))
     exact = affine_c_shuffle_distribution(3, 2)
-    for w in exact.masses:
-        assert abs(counts[w] / draws - float(exact.mass(w))) < 0.02
+    for w in exact.coeffs:
+        assert abs(counts[w] / draws - float(exact.coefficient(w))) < 0.02
 
 
 # --- affine type A model -------------------------------------------------------
 
 def test_affine_a_two_cards():
     d = affine_a_2shuffle_distribution(2)
-    assert dict(d.masses) == {
+    assert dict(d.coeffs) == {
         Permutation((1, 2)): Fraction(1, 2),
         Permutation((2, 1)): Fraction(1, 2),
     }
@@ -127,7 +126,7 @@ def test_affine_a_two_cards():
 
 def test_affine_a_three_cards():
     d = affine_a_2shuffle_distribution(3)
-    assert dict(d.masses) == {
+    assert dict(d.coeffs) == {
         Permutation((1, 2, 3)): Fraction(1, 4),
         Permutation((2, 3, 1)): Fraction(1, 4),
         Permutation((3, 2, 1)): Fraction(1, 4),
@@ -139,7 +138,7 @@ def test_affine_a_model_inverts_measure():
     for n in range(2, 7):
         model = affine_a_2shuffle_distribution(n)
         expected = invert_element(x_k_measure_type_a(n, 2)).coeffs
-        assert dict(model.masses) == expected, n
+        assert dict(model.coeffs) == expected, n
 
 
 def test_affine_a_sampler_close_to_exact():
@@ -147,8 +146,8 @@ def test_affine_a_sampler_close_to_exact():
     draws = 20000
     counts = Counter(affine_a_2shuffle_sample(4, rng) for _ in range(draws))
     exact = affine_a_2shuffle_distribution(4)
-    for w in exact.masses:
-        assert abs(counts[w] / draws - float(exact.mass(w))) < 0.02
+    for w in exact.coeffs:
+        assert abs(counts[w] / draws - float(exact.coefficient(w))) < 0.02
 
 
 # --- total variation --------------------------------------------------------------
@@ -203,8 +202,3 @@ def test_tv_equality_theorem():
 def test_tv_check_requires_even_k():
     with pytest.raises(ValueError):
         theorem_tv_check(3, 3)
-
-
-def test_distribution_validation():
-    with pytest.raises(ValueError):
-        Distribution(GroupKind("A", 2), {Permutation((1, 2)): Fraction(1, 2)})
