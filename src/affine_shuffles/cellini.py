@@ -217,38 +217,19 @@ def x_k_generic(rs: RootSystem, k: int) -> GroupAlgebraElement:
     return GroupAlgebraElement.probability(rs.kind(), coeffs)
 
 
-@lru_cache(maxsize=None)
-def _lattice_candidates(n: int, k: int) -> tuple[tuple[tuple[int, ...], frozenset[int], bool], ...]:
-    # Candidate vectors v with v_1 >= ... >= v_n, v_1 - v_n <= k and zero sum,
-    # normalized by v_n = 0 (zero sum <=> n | sum).  Stored with the set of
-    # strictly-decreasing positions and whether v_1 < k.
-    out = []
-    for u in _weakly_decreasing(n - 1, k):
-        full = u + (0,)
-        if sum(full) % n:
-            continue
-        strict = frozenset(i for i in range(1, n) if full[i - 1] > full[i])
-        out.append((full, strict, full[0] < k if n >= 2 else True))
-    return tuple(out)
-
-
 def x_k_type_a_lattice(w: Permutation, k: int) -> Fraction:
-    """Coefficient of w in the type A element, by the direct lattice count.
+    """Coefficient of w in the type A element, by the per-element alcove count.
 
-    Counts integer vectors (v_1..v_n) with zero sum, weakly decreasing with
-    v_1 - v_n <= k, strictly decreasing at every descent of w, and with
-    v_1 < v_n + k whenever w(n) > w(1); then divides by k^{n-1}.
+    Counts the points of the k-dilated alcove whose wall set misses Cdes(w):
+    zero-sum integer vectors, weakly decreasing with v_1 - v_n <= k, strictly
+    decreasing at every descent of w, and with v_1 < v_n + k whenever
+    w(n) > w(1); then divides by k^{n-1}.  ``alcove_points`` rejects k < 1.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    n = w.n
-    stats = type_a_stats(w)
-    needs_affine = 0 in stats.cyclic_descents
-    count = 0
-    for _, strict, affine_ok in _lattice_candidates(n, k):
-        if stats.descents <= strict and (affine_ok or not needs_affine):
-            count += 1
-    return Fraction(count, k ** (n - 1))
+    cdes = type_a_stats(w).cyclic_descents
+    count = sum(
+        1 for _, walls in _alcove_wall_sets(RootSystem.type_a(w.n), k) if walls.isdisjoint(cdes)
+    )
+    return Fraction(count, k ** (w.n - 1))
 
 
 def verify_cellini_properties(rs: RootSystem, k: int, h: int) -> VerificationReport:

@@ -191,11 +191,12 @@ _NEGATIVE_ELEMENT = re.compile(r"-\d+(,-?\d+)*")
 
 
 def _attach_element_values(argv: list[str]) -> list[str]:
-    """``--element -1,2`` as ``--element=-1,2``: argparse would read a separate
-    value with a leading minus as an option and report the value missing."""
+    """``--element -1,2``, or an abbreviation such as ``--e -1,2``, as ``--element=-1,2``:
+    argparse would read a separate value with a leading minus as an option."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--element" and _NEGATIVE_ELEMENT.fullmatch(token):
+        if (out and out[-1].startswith("--e") and "--element".startswith(out[-1])
+                and _NEGATIVE_ELEMENT.fullmatch(token)):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -216,6 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     measure = sub.add_parser("measure", help="affine k-shuffle measure")
+    # checks made after parsing report through the subcommand's own usage line
+    measure.set_defaults(subparser=measure)
     measure.add_argument("--family", choices=("A", "C"), required=True)
     measure.add_argument("--n", type=_int_at_least(1), required=True)
     measure.add_argument("--k", type=_int_at_least(1), required=True)
@@ -229,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--profile", choices=harness.PROFILES, default="quick")
 
     sample = sub.add_parser("sample", help="draw from a shuffle model")
+    sample.set_defaults(subparser=sample)
     sample.add_argument("--model", choices=("riffle", "affine-a", "affine-c"),
                         required=True)
     sample.add_argument("--n", type=_int_at_least(1), required=True)
@@ -252,13 +256,13 @@ def main(argv: list[str] | None = None) -> int:
     out = _Output(args)
     if args.command == "measure":
         if args.element is not None:
-            args.element = _parse_element(parser, args)
+            args.element = _parse_element(args.subparser, args)
         return _cmd_measure(args, out)
     if args.command == "verify":
         return _cmd_verify(args, out)
     if args.command == "sample":
         if args.model == "affine-a" and args.k is not None:
-            parser.error("argument --k: not allowed with --model affine-a, "
+            args.subparser.error("argument --k: not allowed with --model affine-a, "
                          "the fixed two-pile cut")
         if args.k is None:
             args.k = 2

@@ -1,22 +1,21 @@
 """Closed-form coefficients of the affine k-shuffle elements.
 
-Type A admits four equivalent expressions for the coefficient of w, all in
-terms of the cyclic descent number cd(w) and the major index maj(w):
+Type A has three expressions for the coefficient of w, all in terms of the
+cyclic descent number cd(w) and the major index maj(w), selected by
+``method``:
 
 1. partitions with at most n-1 parts, each at most k - cd(w), of size
-   congruent to -maj(w) mod n, divided by k^{n-1};
-2. the transposed count (at most k - cd(w) parts, each at most n-1);
-3. a residue-coefficient sum of q^{maj(w)} times a Gaussian binomial;
+   congruent to -maj(w) mod n, divided by k^{n-1}; this is a residue sum of
+   the coefficients of the Gaussian binomial ``q_binomial(k+n-cd-1, n-1)``;
+2. the transposed count (at most k - cd(w) parts, each at most n-1), equal
+   to method 1 only by the symmetry of the q-binomial;
 4. a Ramanujan-sum expression via the von Sterneck count, with two special
    branches at k = cd(w).
 
-Not all four are independent.  Methods 1 and 3 compute the same residue sum
-over the coefficients of the same cached ``q_binomial(k+n-cd-1, n-1)``.
-Method 2 is its transpose, equal to method 1 only by the symmetry of the
-q-binomial.  So the five type A routes to x_k(w) (these four and
-``cellini.x_k_type_a_lattice``) rest on three independent arguments: the
-partition count, the von Sterneck/Ramanujan sum, and the alcove/lattice
-count.  ``method`` keeps all four values because the benchmark calls each.
+``method=3`` is an alias of method 1, kept because the benchmark calls it.
+With the per-element alcove count ``cellini.x_k_type_a_lattice`` these are
+the type A routes to x_k(w), and they rest on three independent arguments:
+the partition count, the von Sterneck/Ramanujan sum, and the alcove count.
 
 Type C has a single binomial formula, split by the parity of k, in terms of
 the descent number d(w) (k odd) or the cyclic descent number cd(w) (k even).
@@ -27,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .numth import binomial, bounded_partition_count, q_binomial, von_sterneck
+from .numth import binomial, bounded_partition_count, von_sterneck
 from .perm import (
     GroupAlgebraElement,
     GroupKind,
@@ -48,25 +47,18 @@ __all__ = [
 
 
 def x_k_type_a(w: Permutation, k: int, method: int = 1) -> Fraction:
-    """Coefficient of w in the type A affine k-shuffle, by one of four routes."""
+    """Coefficient of w in the type A affine k-shuffle, by one of three routes
+    (``method`` 1, 2 or 4; 3 is an alias of 1)."""
     if k < 1:
         raise ValueError("k must be positive")
     n = w.n
     stats = type_a_stats(w)
     cd, maj = stats.cd, stats.maj
     denom = k ** (n - 1)
-    if method == 1:
+    if method in (1, 3):
         return Fraction(bounded_partition_count(n - 1, k - cd, n, -maj), denom)
     if method == 2:
         return Fraction(bounded_partition_count(k - cd, n - 1, n, -maj), denom)
-    if method == 3:
-        if k - cd < 0:
-            return Fraction(0)
-        poly = q_binomial(k + n - cd - 1, n - 1)
-        count = sum(
-            c for e, c in enumerate(poly.coeffs) if (e + maj) % n == 0
-        )
-        return Fraction(count, denom)
     if method == 4:
         if k - cd > 0:
             return Fraction(von_sterneck(n, k - cd, -maj), denom)

@@ -76,7 +76,7 @@ class FieldContext:
         self.modulus = tuple(c % p for c in modulus[:-1]) + (1,)
         self._irreducibles: dict[int, tuple["FqPoly", ...]] = {}
         self._build_tables()
-        if e > 1 and not _prime_poly_irreducible(p, self.modulus):
+        if e > 1 and not is_irreducible(make_field(p, 1).poly(self.modulus)):
             raise ValueError(f"modulus {self.modulus} is reducible over F_{p}")
 
     def _build_tables(self) -> None:
@@ -166,15 +166,7 @@ class FieldContext:
         if degree < 1:
             raise ValueError("degree must be >= 1")
         if degree not in self._irreducibles:
-            found = []
-            for f in self.all_monic(degree):
-                if all(
-                    not f.divisible_by(g)
-                    for d in range(1, degree // 2 + 1)
-                    for g in self.irreducibles(d)
-                ):
-                    found.append(f)
-            self._irreducibles[degree] = tuple(found)
+            self._irreducibles[degree] = tuple(filter(is_irreducible, self.all_monic(degree)))
         return self._irreducibles[degree]
 
     def __eq__(self, other: object) -> bool:
@@ -187,12 +179,6 @@ class FieldContext:
 
     def __repr__(self) -> str:
         return f"FieldContext(p={self.p}, e={self.e}, modulus={self.modulus})"
-
-
-def _prime_poly_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
-    # Irreducibility over F_p via the prime-field context's own sieve.
-    prime_field = make_field(p, 1)
-    return is_irreducible(prime_field.poly(coeffs))
 
 
 _FIELD_CACHE: dict[tuple[int, int, tuple[int, ...] | None], FieldContext] = {}

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .numth import binomial, divisors, mobius, power
+from .fq import count_self_conjugate_irreducibles
+from .numth import binomial, power
 from .perm import all_signed_permutations, cycle_type, type_c_stats
 from .report import CheckTimer, VerificationReport, first_difference
 from .unimodal import transitive_unimodal_count
@@ -28,7 +29,6 @@ __all__ = [
     "make_monomial",
     "geometric_inverse",
     "geometric_power",
-    "type_c_exponent",
     "rhs_type_c_product",
     "rhs_unimodal_product",
     "shape_cycle_index_product",
@@ -186,26 +186,12 @@ def geometric_power(base: TruncatedSeries, exponent: int) -> TruncatedSeries:
     return geometric_inverse(base) ** exponent
 
 
-def type_c_exponent(q: int, m: int, e: int) -> int:
-    """Exponent (1/2m) sum over odd d | m of mu(d) (q^{m/d} + 1 - e).
-
-    Must be a nonnegative integer (it counts polynomials); anything else
-    signals a transcription error in the product formula.
-    """
-    total = sum(mobius(d) * (q ** (m // d) + 1 - e) for d in divisors(m) if d % 2)
-    value, rem = divmod(total, 2 * m)
-    if rem != 0 or value < 0:
-        raise ArithmeticError(
-            f"type C product exponent not a nonnegative integer: q={q} m={m}"
-        )
-    return value
-
-
 def rhs_type_c_product(q: int, truncation: int) -> TruncatedSeries:
     """Right-hand side of the type C class-measure generating function.
 
     (1/(1-x_1 u))^{e-1} * prod_m ((1 + y_m u^m)/(1 - x_m u^m))^{b_m}
-    with b_m = type_c_exponent(q, m, e) and e = 1 for even q, 2 for odd q.
+    with e = 1 for even q, 2 for odd q, and b_m the number of self-conjugate
+    monic irreducibles of degree 2m over F_q.
     The coefficient of u^n times the monomial of a signed cycle type counts
     the palindromic degree-2n polynomials with that factorization type.
     """
@@ -213,7 +199,7 @@ def rhs_type_c_product(q: int, truncation: int) -> TruncatedSeries:
     N = truncation
     result = geometric_power(TruncatedSeries.term(1, {"x1": 1, "u": 1}, N), e - 1)
     for m in range(1, N + 1):
-        b = type_c_exponent(q, m, e)
+        b = count_self_conjugate_irreducibles(2 * m, q)
         if b == 0:
             continue
         numer = (

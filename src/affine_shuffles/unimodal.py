@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .numth import divisors, mobius
+from .fq import count_self_conjugate_irreducibles
 from .perm import Permutation, SignedPermutation
 
 __all__ = [
@@ -122,14 +122,9 @@ def gannon_histogram(n: int) -> dict[tuple[tuple[CycleShape, int], ...], int]:
 
 
 def transitive_unimodal_count(n: int) -> int:
-    """Number of unimodal n-cycles: (1/2n) sum over odd d | n of mu(d) 2^{n/d}."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    total = sum(mobius(d) * 2 ** (n // d) for d in divisors(n) if d % 2)
-    count, rem = divmod(total, 2 * n)
-    if rem or count < 0:
-        raise ArithmeticError(f"transitive unimodal count not integral at n={n}")
-    return count
+    """Number of unimodal n-cycles, which equals the number of self-reciprocal
+    monic irreducibles of degree 2n over F_2: (1/2n) sum_{odd d | n} mu(d) 2^{n/d}."""
+    return count_self_conjugate_irreducibles(2 * n, 2)
 
 
 @lru_cache(maxsize=None)

@@ -151,7 +151,7 @@ def test_rank_zero_group():
     assert element.coeffs == {Permutation.identity(1): Fraction(1)}
 
 
-# --- the four-condition lattice count ----------------------------------------------
+# --- the per-element alcove count -------------------------------------------------
 
 def test_lattice_examples():
     assert x_k_type_a_lattice(perm("1,2,3"), 3) == Fraction(2, 9)

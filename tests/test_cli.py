@@ -32,13 +32,15 @@ def test_measure_single_element(capsys):
 
 
 def test_measure_element_with_leading_minus(capsys):
-    # argparse alone would read "-1,2" as an option and exit 2
-    code, out = run(
-        capsys, "measure", "--family", "C", "--n", "2", "--k", "3",
-        "--element", "-1,2",
-    )
-    assert code == 0
-    assert out.strip() == "1/9"
+    # argparse alone would read "-1,2" as an option and exit 2, also after an
+    # abbreviated --element
+    for option in ("--element", "--elem", "--e"):
+        code, out = run(
+            capsys, "measure", "--family", "C", "--n", "2", "--k", "3",
+            option, "-1,2",
+        )
+        assert code == 0
+        assert out.strip() == "1/9"
 
 
 def test_measure_decimal_rendering(capsys):
@@ -136,31 +138,35 @@ def test_bad_arguments_exit_2(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, usage", [
     pytest.param(["measure", "--family", "A", "--n", "3", "--k", "2", "--element", "1,2,3,4"],
-                 id="element-not-on-n-symbols"),
+                 "measure", id="element-not-on-n-symbols"),
     pytest.param(["measure", "--family", "A", "--n", "3", "--k", "2", "--element", "1,2,x"],
-                 id="element-not-integer"),
-    pytest.param(["measure", "--family", "A", "--n", "3", "--k", "0"], id="measure-k-0"),
-    pytest.param(["measure", "--family", "A", "--n", "0", "--k", "2"], id="measure-n-0"),
+                 "measure", id="element-not-integer"),
+    pytest.param(["measure", "--family", "A", "--n", "3", "--k", "0"], "measure",
+                 id="measure-k-0"),
+    pytest.param(["measure", "--family", "A", "--n", "0", "--k", "2"], "measure",
+                 id="measure-n-0"),
     pytest.param(["--decimal", "-1", "measure", "--family", "A", "--n", "2", "--k", "2"],
-                 id="negative-decimal"),
-    pytest.param(["unimodal", "--n", "0"], id="unimodal-n-0"),
+                 "[-h]", id="negative-decimal"),
+    pytest.param(["unimodal", "--n", "0"], "unimodal", id="unimodal-n-0"),
     pytest.param(["sample", "--model", "affine-c", "--n", "3", "--seed", "1", "--count", "-5"],
-                 id="negative-count"),
+                 "sample", id="negative-count"),
     pytest.param(["sample", "--model", "riffle", "--n", "3", "--k", "0", "--seed", "1"],
-                 id="sample-k-0"),
+                 "sample", id="sample-k-0"),
     pytest.param(["sample", "--model", "affine-a", "--n", "3", "--k", "7", "--seed", "1"],
-                 id="affine-a-with-k"),
+                 "sample", id="affine-a-with-k"),
     pytest.param(["--json", "--csv", "measure", "--family", "A", "--n", "2", "--k", "2"],
-                 id="json-and-csv"),
+                 "[-h]", id="json-and-csv"),
 ])
-def test_rejected_input_exits_2(capsys, argv):
+def test_rejected_input_exits_2(capsys, argv, usage):
+    # an error in a subcommand's options is shown with that subcommand's usage line
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.startswith(f"usage: affine-shuffles {usage}")
     assert "error:" in captured.err
 
 

@@ -187,7 +187,11 @@ def test_conjugate_is_involution_and_preserves_irreducibility():
 
 def test_self_conjugate_counts():
     assert count_self_conjugate_irreducibles(1, 3) == 2  # z-1 and z+1
+    # the type C product's exponents: b_1 is q/2 for even q, (q-1)/2 for odd q; b_2 at q = 2
     assert count_self_conjugate_irreducibles(2, 2) == 1  # z^2+z+1
+    assert count_self_conjugate_irreducibles(2, 3) == 1
+    assert count_self_conjugate_irreducibles(2, 5) == 2
+    assert count_self_conjugate_irreducibles(4, 2) == 1
     assert count_self_conjugate_irreducibles(3, 4) == 0
     assert count_self_conjugate_irreducibles(5, 9) == 0
 

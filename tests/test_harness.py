@@ -1,11 +1,13 @@
 """Verification orchestration: reports, profiles, fault injection."""
 
+import hashlib
 import json
 
 import pytest
 
 from affine_shuffles.harness import (
     PROFILES,
+    run_checks,
     verify_all,
     verify_dmp,
     verify_eta_worked_example,
@@ -123,11 +125,21 @@ def test_verify_all_quick_passes():
         "shuffle_model_c",
         "unimodal_count",
     } <= covered
+    # every report, witnesses and notes included, is byte-identical to the
+    # pinned battery; a change that alters any report must re-pin on purpose
+    dumped = [{k: v for k, v in r.as_dict().items() if k != "elapsed"} for r in reports]
+    digest = hashlib.sha256(json.dumps(dumped, sort_keys=True).encode()).hexdigest()
+    assert (len(reports), digest[:16]) == (138, "b236701b0c35ea56")
 
 
 def test_verify_all_rejects_unknown_profile():
     with pytest.raises(ValueError):
         verify_all("gigantic")
+
+
+def test_run_checks_rejects_unknown_check():
+    with pytest.raises(ValueError, match="unknown check 'nope'.*'dmp'"):
+        run_checks(["dmp", "nope"])
 
 
 def test_profiles_exist():

@@ -16,7 +16,6 @@ from affine_shuffles.series import (
     rhs_type_c_product,
     rhs_unimodal_product,
     signed_type_monomial,
-    type_c_exponent,
 )
 
 
@@ -105,11 +104,15 @@ def test_mul_distributes_over_add(data):
 # --- the type C product ---------------------------------------------------------
 
 def test_type_c_exponents_are_counts():
-    # m = 1 exponents: q/2 for even q, (q-1)/2 for odd q
-    assert type_c_exponent(2, 1, 1) == 1
-    assert type_c_exponent(3, 1, 2) == 1
-    assert type_c_exponent(5, 1, 2) == 2
-    assert type_c_exponent(2, 2, 1) == 1
+    # b_m is the coefficient of y_m u^m: only the factor (1 + y_m u^m)^{b_m}
+    # makes that monomial. m = 1 exponents: q/2 for even q, (q-1)/2 for odd q
+    def exponent(q, m):
+        return rhs_type_c_product(q, m).coefficient({"u": m, f"y{m}": 1})
+
+    assert exponent(2, 1) == 1
+    assert exponent(3, 1) == 1
+    assert exponent(5, 1) == 2
+    assert exponent(2, 2) == 1
 
 
 def test_rhs_type_c_frozen_coefficients():
