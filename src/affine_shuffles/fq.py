@@ -6,7 +6,9 @@ coefficient tuples of such codes, low degree first, with trailing zeros
 stripped.  Everything is deterministic: the modulus of F_{p^e} is the
 lexicographically smallest monic irreducible of degree e (coefficients
 compared low-degree first as integers), factorization is by sieve and trial
-division, and all arithmetic is exact.
+division, and all arithmetic is exact.  Polynomial division, the
+irreducibility test and factorization share one long-division kernel that
+works on coefficient codes through the field's operation tables.
 
 Two enumerations push polynomial factorizations to conjugacy-class data:
 
@@ -115,21 +117,18 @@ class FieldContext:
                         for j in range(e):
                             conv[idx - e + j] = (conv[idx - e + j] + c * reduction[j]) % p
                 self._mul[a][b] = encode(conv[:e])
-        self._neg = [self._scan_neg(a) for a in range(q)]
+        self._neg = [row.index(0) for row in self._add]
+        self._sub = [[row[n] for n in self._neg] for row in self._add]
         self._inv = [0] * q
         for a in range(1, q):
             row = self._mul[a]
             self._inv[a] = row.index(1)
 
-    def _scan_neg(self, a: int) -> int:
-        row = self._add[a]
-        return row.index(0)
-
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
 
     def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
+        return self._sub[a][b]
 
     def neg(self, a: int) -> int:
         return self._neg[a]
@@ -145,10 +144,6 @@ class FieldContext:
     @property
     def one(self) -> int:
         return 1
-
-    @property
-    def minus_one(self) -> int:
-        return self._neg[1]
 
     def poly(self, coeffs: Iterator[int] | tuple[int, ...] | list[int]) -> "FqPoly":
         return FqPoly(self, tuple(coeffs))
@@ -166,7 +161,12 @@ class FieldContext:
         if degree < 1:
             raise ValueError("degree must be >= 1")
         if degree not in self._irreducibles:
-            self._irreducibles[degree] = tuple(filter(is_irreducible, self.all_monic(degree)))
+            found = tuple(filter(is_irreducible, self.all_monic(degree)))
+            expected = count_irreducibles(degree, self.q)
+            if len(found) != expected:
+                raise ArithmeticError(f"degree {degree} over F_{self.q}: sieve found "
+                                      f"{len(found)} irreducibles, Gauss's count is {expected}")
+            self._irreducibles[degree] = found
         return self._irreducibles[degree]
 
     def __eq__(self, other: object) -> bool:
@@ -290,27 +290,14 @@ class FqPoly:
         F = self._common_field(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dd = other.degree
-        lead_inv = F.inv(dv[-1])
-        quot = [0] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - dd - 1, -1, -1):
-            c = F.mul(rem[i + dd], lead_inv)
-            if c:
-                quot[i] = c
-                for j, y in enumerate(dv):
-                    rem[i + j] = F.sub(rem[i + j], F.mul(c, y))
-        return FqPoly(F, tuple(quot)), FqPoly(F, tuple(rem[:dd]))
+        quot, rem = _long_division(F, self.coeffs, other.coeffs)
+        return FqPoly(F, tuple(quot)), FqPoly(F, tuple(rem))
 
     def __floordiv__(self, other: "FqPoly") -> "FqPoly":
         return divmod(self, other)[0]
 
     def __mod__(self, other: "FqPoly") -> "FqPoly":
         return divmod(self, other)[1]
-
-    def divisible_by(self, other: "FqPoly") -> bool:
-        return (self % other).is_zero
 
     def __pow__(self, exponent: int) -> "FqPoly":
         return power(self, exponent, FqPoly(self.field, (1,)))
@@ -350,12 +337,34 @@ class FqPoly:
         return f"FqPoly(q={self.field.q}, [{self.to_text()}])"
 
 
+def _long_division(field: FieldContext, a: tuple, dv: tuple) -> tuple[list[int], list[int]]:
+    """Quotient and remainder codes of a by the nonzero dv, low degree first.
+
+    The remainder has deg(dv) entries at most and may end in zeros.  The
+    divisor's top term only cancels a code never read again, so it is skipped.
+    """
+    mul, sub = field._mul, field._sub
+    dd = len(dv) - 1
+    scale = mul[field._inv[dv[-1]]]
+    terms = [(j, y) for j, y in enumerate(dv[:dd]) if y]
+    rem = list(a)
+    quot = [0] * (len(rem) - dd)  # empty when deg a < deg dv
+    for i in range(len(rem) - dd - 1, -1, -1):
+        c = scale[rem[i + dd]]
+        if c:
+            quot[i] = c
+            row = mul[c]
+            for j, y in terms:
+                rem[i + j] = sub[rem[i + j]][row[y]]
+    return quot, rem[:dd]
+
+
 def is_irreducible(f: FqPoly) -> bool:
     """Trial-division irreducibility test against the sieved cache."""
     if f.degree < 1:
         return False
     return all(
-        not f.divisible_by(g)
+        any(_long_division(f.field, f.coeffs, g.coeffs)[1])
         for d in range(1, f.degree // 2 + 1)
         for g in f.field.irreducibles(d)
     )
@@ -388,22 +397,26 @@ def factor(f: FqPoly) -> Factorization:
     if not f.is_monic:
         raise ValueError("factor expects a monic polynomial")
     field = f.field
-    remaining = f
+    remaining = f.coeffs
     found: list[tuple[FqPoly, int]] = []
     d = 1
-    while 2 * d <= remaining.degree:
+    while 2 * d < len(remaining):
         for g in field.irreducibles(d):
-            if g.degree > remaining.degree:
+            # no factor of degree < d is left, so below degree 2d it is irreducible
+            if 2 * d >= len(remaining):
                 break
             mult = 0
-            while remaining.divisible_by(g):
-                remaining = remaining // g
+            while True:
+                quot, rem = _long_division(field, remaining, g.coeffs)
+                if any(rem):
+                    break
+                remaining = tuple(quot)
                 mult += 1
             if mult:
                 found.append((g, mult))
         d += 1
-    if remaining.degree >= 1:
-        found.append((remaining, 1))
+    if len(remaining) > 1:
+        found.append((field.poly(remaining), 1))
     found.sort(key=lambda pair: pair[0].sort_key())
     return Factorization(field, tuple(found))
 

@@ -401,9 +401,6 @@ class GroupAlgebraElement:
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return convolve(self, other)
 
-    def invert(self) -> "GroupAlgebraElement":
-        return invert_element(self)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented

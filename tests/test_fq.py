@@ -1,11 +1,13 @@
 """Finite fields, factorization, the conjugation involution, class measures."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affine_shuffles import fq
 from affine_shuffles.fq import (
     FieldContext,
     FqPoly,
@@ -33,6 +35,7 @@ F5 = make_field(5, 1)
 # first Hypothesis example of the degree-10 property is not charged for it.
 for _degree in range(1, 6):
     F5.irreducibles(_degree)
+F8 = make_field(2, 3)
 F9 = make_field(3, 2)
 
 
@@ -92,11 +95,23 @@ def test_poly_text_round_trip():
 
 
 def test_divmod_reconstructs():
-    f = poly(F5, "1,2,3,4,1")
-    g = poly(F5, "2,1,1")
-    q, r = divmod(f, g)
-    assert q * g + r == f
-    assert r.degree < g.degree
+    for field, f_text, g_text in (
+        (F5, "1,2,3,4,1", "2,1,1"),
+        (F9, "4,0,7,1,8,2,5", "3,0,2,7"),  # non-monic, a zero inner coefficient
+        (F9, "1,2", "5,0,0,4"),  # deg f < deg g: quotient 0, remainder f
+        (F8, "7,1,0,3,6,2,1,5", "0,6,3"),  # non-monic, zero constant term
+        (F8, "3,5,1", "6"),  # constant divisor: remainder 0
+    ):
+        f = poly(field, f_text)
+        g = poly(field, g_text)
+        q, r = divmod(f, g)
+        assert q * g + r == f, (field.q, f_text, g_text)
+        assert r.degree < g.degree
+
+
+def test_divmod_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        divmod(poly(F9, "1,2,3"), FqPoly(F9, ()))
 
 
 def test_zero_and_monic_normalization():
@@ -149,6 +164,45 @@ def test_factor_reconstructs_random_degree_10(code, degree):
     fac = factor(f)
     assert fac.product() == f
     assert sum(g.degree * m for g, m in fac.factors) == f.degree
+
+
+@given(
+    st.sampled_from([(F4, 8), (F9, 7)]).flatmap(
+        lambda pair: st.tuples(
+            st.just(pair[0]),
+            st.lists(st.integers(0, pair[0].q - 1), min_size=1, max_size=pair[1]),
+        )
+    )
+)
+def test_factor_product_and_irreducible_factors(case):
+    field, lower = case
+    f = FqPoly(field, tuple(lower) + (1,))
+    fac = factor(f)
+    assert fac.product() == f
+    assert all(is_irreducible(g) and g.is_monic for g, _ in fac.factors)
+
+
+def test_factor_matches_sympy_for_prime_q():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(2001)
+    for p in (2, 3, 5, 7):
+        field = make_field(p, 1)
+        for _ in range(50):
+            lower = [rng.randrange(p) for _ in range(rng.randint(1, 10))]
+            f = FqPoly(field, tuple(lower) + (1,))
+            _, expected = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
+            assert sorted(
+                (tuple(c % p for c in reversed(g.all_coeffs())), m) for g, m in expected
+            ) == sorted((g.coeffs, m) for g, m in factor(f).factors), f
+
+
+def test_sieve_guard_rejects_a_wrong_count(monkeypatch):
+    field = FieldContext(7, 1, (0, 1))  # fresh: the cached make_field(7, 1) may be sieved
+    sound = fq.is_irreducible
+    monkeypatch.setattr(fq, "is_irreducible", lambda f: sound(f) and f.coeffs != (3, 1))
+    with pytest.raises(ArithmeticError, match=r"degree 1 over F_7: sieve found 6 .* count is 7"):
+        field.irreducibles(1)
 
 
 def test_irreducible_counts_match_scans():
