@@ -42,11 +42,14 @@ class _Output:
         self.decimal = args.decimal
 
     def emit(self, text: str) -> None:
+        # Empty output stays empty: a line reader would take "\n" as one empty record.
+        if text and not text.endswith("\n"):
+            text += "\n"
         if self.path:
             with open(self.path, "w", encoding="utf-8") as handle:
-                handle.write(text if text.endswith("\n") else text + "\n")
+                handle.write(text)
         else:
-            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.write(text)
 
     def emit_json(self, payload) -> None:
         self.emit(json.dumps(payload, indent=2, sort_keys=True))

@@ -127,12 +127,6 @@ class FieldContext:
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self._sub[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
@@ -140,10 +134,6 @@ class FieldContext:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
         return self._inv[a]
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def poly(self, coeffs: Iterator[int] | tuple[int, ...] | list[int]) -> "FqPoly":
         return FqPoly(self, tuple(coeffs))
@@ -181,28 +171,27 @@ class FieldContext:
         return f"FieldContext(p={self.p}, e={self.e}, modulus={self.modulus})"
 
 
-_FIELD_CACHE: dict[tuple[int, int, tuple[int, ...] | None], FieldContext] = {}
+_FIELD_CACHE: dict[tuple[int, int], FieldContext] = {}
 
 
-def make_field(p: int, e: int, modulus: tuple[int, ...] | None = None) -> FieldContext:
-    """Field context for F_{p^e}.
+def make_field(p: int, e: int) -> FieldContext:
+    """Field context for F_{p^e}, cached.
 
-    Without an explicit modulus the lexicographically smallest monic
-    irreducible of degree e is chosen (for e = 1 this is the polynomial z),
-    so repeated calls are deterministic.
+    The modulus is the lexicographically smallest monic irreducible of
+    degree e (for e = 1 the polynomial z), so repeated calls are
+    deterministic.
     """
-    key = (p, e, tuple(modulus) if modulus is not None else None)
+    key = (p, e)
     if key in _FIELD_CACHE:
         return _FIELD_CACHE[key]
-    if modulus is None:
-        if e == 1:
-            modulus = (0, 1)
-        else:
-            prime_field = make_field(p, 1)
-            modulus = next(
-                f.coeffs for f in prime_field.all_monic(e) if is_irreducible(f)
-            )
-    field = FieldContext(p, e, tuple(modulus))
+    if e == 1:
+        modulus = (0, 1)
+    else:
+        prime_field = make_field(p, 1)
+        modulus = next(
+            f.coeffs for f in prime_field.all_monic(e) if is_irreducible(f)
+        )
+    field = FieldContext(p, e, modulus)
     _FIELD_CACHE[key] = field
     return field
 
@@ -265,16 +254,6 @@ class FqPoly:
             out[i] = F.add(out[i], c)
         return FqPoly(F, tuple(out))
 
-    def __sub__(self, other: "FqPoly") -> "FqPoly":
-        F = self._common_field(other)
-        length = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(length):
-            x = self.coeffs[i] if i < len(self.coeffs) else 0
-            y = other.coeffs[i] if i < len(other.coeffs) else 0
-            out.append(F.sub(x, y))
-        return FqPoly(F, tuple(out))
-
     def __mul__(self, other: "FqPoly") -> "FqPoly":
         F = self._common_field(other)
         if self.is_zero or other.is_zero:
@@ -293,30 +272,8 @@ class FqPoly:
         quot, rem = _long_division(F, self.coeffs, other.coeffs)
         return FqPoly(F, tuple(quot)), FqPoly(F, tuple(rem))
 
-    def __floordiv__(self, other: "FqPoly") -> "FqPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "FqPoly") -> "FqPoly":
-        return divmod(self, other)[1]
-
     def __pow__(self, exponent: int) -> "FqPoly":
         return power(self, exponent, FqPoly(self.field, (1,)))
-
-    def __call__(self, x: int) -> int:
-        F = self.field
-        value = 0
-        for c in reversed(self.coeffs):
-            value = F.add(F.mul(value, x), c)
-        return value
-
-    def monic(self) -> "FqPoly":
-        if self.is_zero:
-            raise ValueError("zero polynomial has no monic normalization")
-        if self.is_monic:
-            return self
-        F = self.field
-        scale = F.inv(self.coeffs[-1])
-        return FqPoly(F, tuple(F.mul(c, scale) for c in self.coeffs))
 
     def _common_field(self, other: "FqPoly") -> FieldContext:
         if self.field != other.field:
@@ -331,7 +288,9 @@ class FqPoly:
         return cls(field, tuple(int(part) for part in text.split(",")))
 
     def to_text(self) -> str:
-        return ",".join(str(c) for c in self.coeffs)
+        """Coefficient codes, low degree first; "0" for the zero polynomial,
+        whose coefficient list is empty, so that ``from_text`` reads it back."""
+        return ",".join(str(c) for c in self.coeffs) or "0"
 
     def __repr__(self) -> str:
         return f"FqPoly(q={self.field.q}, [{self.to_text()}])"
@@ -382,12 +341,6 @@ class Factorization:
         for poly, mult in self.factors:
             result = result * poly**mult
         return result
-
-    def multiplicity(self, poly: FqPoly) -> int:
-        for candidate, mult in self.factors:
-            if candidate == poly:
-                return mult
-        return 0
 
 
 def factor(f: FqPoly) -> Factorization:

@@ -178,12 +178,6 @@ class IntPolynomial:
     def shift(self, amount: int) -> "IntPolynomial":
         return IntPolynomial((0,) * amount + self.coeffs)
 
-    def __call__(self, x: int) -> int:
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
-
 
 @lru_cache(maxsize=None)
 def q_binomial(a: int, b: int) -> IntPolynomial:

@@ -188,11 +188,6 @@ class GroupKind(NamedTuple):
         size = math.factorial(self.n)
         return size if self.family == "A" else size * 2**self.n
 
-    def identity(self) -> GroupElement:
-        if self.family == "A":
-            return Permutation.identity(self.n)
-        return SignedPermutation.identity(self.n)
-
 
 def _check_family(family: str) -> None:
     if family not in ("A", "C"):
@@ -247,7 +242,7 @@ def type_a_stats(w: Permutation) -> TypeAStats:
     return TypeAStats(descents, maj, cyclic_descents, len(cyclic_descents))
 
 
-def _type_c_key(x: int, n: int) -> tuple[bool, int]:
+def _type_c_key(x: int) -> tuple[bool, int]:
     # Total order 1 < 2 < ... < n < -n < ... < -2 < -1.
     return (x < 0, x)
 
@@ -265,7 +260,7 @@ def type_c_stats(w: SignedPermutation) -> TypeCStats:
     n = w.n
     desc = set()
     for i in range(1, n):
-        if _type_c_key(images[i - 1], n) > _type_c_key(images[i], n):
+        if _type_c_key(images[i - 1]) > _type_c_key(images[i]):
             desc.add(i)
     if images[-1] < 0:
         desc.add(n)
@@ -289,10 +284,6 @@ class CycleType:
     def __post_init__(self) -> None:
         if any(p <= 0 for p in self.parts) or list(self.parts) != sorted(self.parts, reverse=True):
             raise ValueError(f"parts must be positive and weakly decreasing: {self.parts!r}")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
 
     def __repr__(self) -> str:
         return f"CycleType{self.parts}"
@@ -391,12 +382,6 @@ class GroupAlgebraElement:
 
     def total(self) -> Fraction:
         return sum(self.coeffs.values(), Fraction(0))
-
-    def is_probability(self) -> bool:
-        return all(c >= 0 for c in self.coeffs.values()) and self.total() == 1
-
-    def support(self) -> set[GroupElement]:
-        return set(self.coeffs)
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return convolve(self, other)

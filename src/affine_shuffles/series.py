@@ -1,22 +1,20 @@
 """Sparse multivariate formal power series over exact rationals.
 
 Series are truncated on the total degree in the distinguished variable ``u``;
-other variables (t, q, x1, x2, ..., y1, y2, ..., shape variables) ride along
-unbounded, which is safe because every product built here attaches them to
-positive powers of u.
+other variables (x1, x2, ..., y1, y2, ...) ride along unbounded, which is
+safe because every product built here attaches them to positive powers of u.
 
 The module also builds the right-hand-side products of the class-measure
-generating function in type C, the unimodal cycle index (in both the
-per-length and per-shape forms), and the descent/cycle-type identity on the
-hyperoctahedral group, for coefficientwise comparison with exhaustive
-enumeration.
+generating function in type C, the unimodal cycle index by cycle length, and
+the descent/cycle-type identity on the hyperoctahedral group, for
+coefficientwise comparison with exhaustive enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .fq import count_self_conjugate_irreducibles
 from .numth import binomial, power
@@ -31,7 +29,6 @@ __all__ = [
     "geometric_power",
     "rhs_type_c_product",
     "rhs_unimodal_product",
-    "shape_cycle_index_product",
     "signed_type_monomial",
     "reiner_identity_check",
 ]
@@ -79,10 +76,6 @@ class TruncatedSeries:
         object.__setattr__(self, "terms", cleaned)
 
     @classmethod
-    def zero(cls, truncation: int) -> "TruncatedSeries":
-        return cls(truncation, {})
-
-    @classmethod
     def constant(cls, value, truncation: int) -> "TruncatedSeries":
         return cls(truncation, {(): Fraction(value)})
 
@@ -116,10 +109,6 @@ class TruncatedSeries:
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(self.truncation, {m: -c for m, c in self.terms.items()})
 
-    def scale(self, value) -> "TruncatedSeries":
-        value = Fraction(value)
-        return TruncatedSeries(self.truncation, {m: c * value for m, c in self.terms.items()})
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
         out: dict[Monomial, Fraction] = {}
@@ -140,18 +129,6 @@ class TruncatedSeries:
         if not self.terms:
             return None
         return min(_u_degree(m) for m in self.terms)
-
-    def substitute_ones(self, names: Iterable[str] | None = None) -> "TruncatedSeries":
-        """Set the listed variables (default: everything except u) to 1."""
-        kill = set(names) if names is not None else None
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            if kill is None:
-                kept = tuple((v, e) for v, e in mono if v == "u")
-            else:
-                kept = tuple((v, e) for v, e in mono if v not in kill)
-            out[kept] = out.get(kept, Fraction(0)) + coeff
-        return TruncatedSeries(self.truncation, out)
 
     def u_slice(self, degree: int) -> dict[Monomial, Fraction]:
         """All terms of exact u-degree ``degree``, keyed by the residual monomial."""
@@ -228,26 +205,6 @@ def rhs_unimodal_product(truncation: int) -> TruncatedSeries:
         g = TruncatedSeries.term(Fraction(1, 2**i), {f"x{i}": 1, "u": i}, N)
         factor = (TruncatedSeries.one(N) + g) * geometric_inverse(g)
         result = result * factor**t_i
-    return result
-
-
-def shape_cycle_index_product(
-    shape_names_by_size: Mapping[int, Sequence[str]], truncation: int
-) -> TruncatedSeries:
-    """Shape-resolved unimodal cycle index.
-
-    One factor (2^i + s u^i)/(2^i - s u^i) per shape variable s of size i; the
-    caller supplies the variable names per size (one per transitive unimodal
-    shape).
-    """
-    N = truncation
-    result = TruncatedSeries.one(N)
-    for size, names in sorted(shape_names_by_size.items()):
-        if size > N:
-            continue
-        for name in names:
-            g = TruncatedSeries.term(Fraction(1, 2**size), {name: 1, "u": size}, N)
-            result = result * (TruncatedSeries.one(N) + g) * geometric_inverse(g)
     return result
 
 

@@ -101,7 +101,7 @@ def riffle_distribution(n: int, k: int) -> GroupAlgebraElement:
     return GroupAlgebraElement.probability(GroupKind("A", n), masses)
 
 
-def _stacks_for_cut(n: int, sizes: tuple[int, ...], flip_odd_indexed: bool | None) -> list[list[int]]:
+def _stacks_for_cut(sizes: tuple[int, ...], flip_odd_indexed: bool | None) -> list[list[int]]:
     # Stack s takes the next sizes[s] cards off the top; flipping reverses and
     # negates.  flip_odd_indexed True flips stacks 1,3,... (1-based), False
     # flips 2,4,...; None flips nothing.
@@ -125,17 +125,16 @@ def _merge(stacks: list[list[int]], word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def riffle_sample(n: int, k: int, rng: random.Random | int) -> Permutation:
+def riffle_sample(n: int, k: int, rng: random.Random) -> Permutation:
     """One draw from ``riffle_distribution(n, k)``.
 
     The physical cut-and-interleave process produces the inverse orientation,
     so the merged deck is inverted before returning.
     """
-    rng = random.Random(rng) if isinstance(rng, int) else rng
     sizes = [0] * k
     for _ in range(n):
         sizes[rng.randrange(k)] += 1
-    stacks = _stacks_for_cut(n, tuple(sizes), None)
+    stacks = _stacks_for_cut(tuple(sizes), None)
     word = _weighted_interleaving(tuple(sizes), rng)
     return Permutation(_merge(stacks, word)).inverse()
 
@@ -166,7 +165,7 @@ def _affine_c_outcomes(n: int, k: int) -> Iterator[SignedPermutation]:
     # One outcome per (cut, interleaving) pair, so an element may repeat.
     flip_odd = k % 2 == 0  # odd k flips even stacks, even k flips odd stacks
     for sizes in _compositions(n, k):
-        stacks = _stacks_for_cut(n, sizes, flip_odd)
+        stacks = _stacks_for_cut(sizes, flip_odd)
         for word in _multiset_permutations(sizes):
             yield SignedPermutation(_merge(stacks, word))
 
@@ -188,13 +187,12 @@ def affine_c_shuffle_distribution(n: int, k: int) -> GroupAlgebraElement:
     return GroupAlgebraElement.probability(GroupKind("C", n), masses)
 
 
-def affine_c_shuffle_sample(n: int, k: int, rng: random.Random | int) -> SignedPermutation:
+def affine_c_shuffle_sample(n: int, k: int, rng: random.Random) -> SignedPermutation:
     """One draw from the flip-and-riffle model, via the supplied generator."""
-    rng = random.Random(rng) if isinstance(rng, int) else rng
     sizes = [0] * k
     for _ in range(n):
         sizes[rng.randrange(k)] += 1
-    stacks = _stacks_for_cut(n, tuple(sizes), k % 2 == 0)
+    stacks = _stacks_for_cut(tuple(sizes), k % 2 == 0)
     word = _weighted_interleaving(tuple(sizes), rng)
     return SignedPermutation(_merge(stacks, word))
 
@@ -242,8 +240,7 @@ def affine_a_2shuffle_distribution(n: int) -> GroupAlgebraElement:
     return GroupAlgebraElement.probability(GroupKind("A", n), masses)
 
 
-def affine_a_2shuffle_sample(n: int, rng: random.Random | int) -> Permutation:
-    rng = random.Random(rng) if isinstance(rng, int) else rng
+def affine_a_2shuffle_sample(n: int, rng: random.Random) -> Permutation:
     weights = [binomial(n, 2 * j) for j in range(0, n // 2 + 1)]
     pick = rng.randrange(sum(weights))
     for j, weight in enumerate(weights):

@@ -12,7 +12,6 @@ l is the number of distinct shapes present.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .fq import count_self_conjugate_irreducibles
@@ -26,7 +25,6 @@ __all__ = [
     "shape_multiset",
     "gannon_histogram",
     "transitive_unimodal_count",
-    "transitive_unimodal_shapes",
     "eta_map",
 ]
 
@@ -78,10 +76,6 @@ class CycleShape:
     def size(self) -> int:
         return len(self.word)
 
-    def variable_name(self) -> str:
-        """Deterministic series-variable name for this shape."""
-        return "s" + ".".join(str(v) for v in self.word)
-
     def __repr__(self) -> str:
         return "(" + " ".join(str(v) for v in self.word) + ")"
 
@@ -127,20 +121,7 @@ def transitive_unimodal_count(n: int) -> int:
     return count_self_conjugate_irreducibles(2 * n, 2)
 
 
-@lru_cache(maxsize=None)
-def transitive_unimodal_shapes(n: int) -> tuple[CycleShape, ...]:
-    """Shapes of the transitive unimodal permutations on n symbols."""
-    shapes = []
-    for w in enumerate_unimodal(n):
-        cycles = w.cycles()
-        if len(cycles) == 1:
-            shapes.append(cycle_shape(cycles[0]))
-    if len(shapes) != transitive_unimodal_count(n):
-        raise AssertionError("shape enumeration disagrees with the closed form")
-    return tuple(sorted(shapes, key=lambda s: s.word))
-
-
-def _validate_two_shuffle_outcome(w: SignedPermutation) -> int:
+def _validate_two_shuffle_outcome(w: SignedPermutation) -> None:
     # A valid outcome interleaves the flipped top block -j..-1 (appearing in
     # that order) with the untouched block j+1..n (in increasing order).
     negatives = [v for v in w.images if v < 0]
@@ -150,7 +131,6 @@ def _validate_two_shuffle_outcome(w: SignedPermutation) -> int:
         raise ValueError(f"not a 2-stack flip-shuffle outcome: {w.to_text()}")
     if positives != list(range(j + 1, w.n + 1)):
         raise ValueError(f"not a 2-stack flip-shuffle outcome: {w.to_text()}")
-    return j
 
 
 def eta_map(outcome: SignedPermutation) -> Permutation:

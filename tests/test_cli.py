@@ -107,6 +107,18 @@ def test_sample_models(capsys):
         assert len(out.strip().splitlines()) == 3
 
 
+def test_sample_count_zero_prints_nothing(tmp_path, capsys):
+    # no draws is no lines, not one empty line a line reader would count
+    code, out = run(capsys, "sample", "--model", "riffle", "--n", "3", "--seed", "1", "--count", "0")
+    assert code == 0
+    assert out == ""
+    target = tmp_path / "draws.txt"
+    code, _ = run(capsys, "--out", str(target),
+                  "sample", "--model", "riffle", "--n", "3", "--seed", "1", "--count", "0")
+    assert code == 0
+    assert target.read_text() == ""
+
+
 def test_unimodal_listing(capsys):
     code, out = run(capsys, "unimodal", "--n", "3")
     assert code == 0

@@ -72,7 +72,7 @@ def test_field_axioms_small():
     for field in (F2, F3, F4, make_field(2, 3), F9):
         q = field.q
         for a in range(q):
-            assert field.add(a, field.neg(a)) == 0
+            assert [field.add(a, b) for b in range(q)].count(0) == 1
             if a:
                 assert field.mul(a, field.inv(a)) == 1
             for b in range(q):
@@ -116,11 +116,20 @@ def test_divmod_by_zero_raises():
 
 def test_zero_and_monic_normalization():
     z = FqPoly(F3, ())
-    assert z.is_zero and z.degree == -1
-    f = poly(F3, "1,2")
-    assert f.monic().coeffs == (2, 1)
-    with pytest.raises(ValueError):
-        z.monic()
+    assert z.is_zero and z.degree == -1 and not z.is_monic
+    assert FqPoly(F3, (2, 1, 0, 0)).coeffs == (2, 1)  # trailing zeros trimmed
+    assert poly(F3, "2,1").is_monic and not poly(F3, "1,2").is_monic
+
+
+@given(
+    st.sampled_from([F4, F9]).flatmap(
+        lambda field: st.tuples(st.just(field), st.lists(st.integers(0, field.q - 1), max_size=8))
+    )
+)
+def test_poly_text_round_trip_property(case):
+    field, coeffs = case
+    f = FqPoly(field, tuple(coeffs))
+    assert FqPoly.from_text(field, f.to_text()) == f
 
 
 # --- factorization ------------------------------------------------------------
@@ -328,7 +337,7 @@ def test_folding_rejects_odd_linear_multiplicity():
 
 def test_measure_independent_of_modulus_choice():
     # F_9 admits several irreducible quadratics; the counted types agree.
-    alternative = make_field(3, 2, modulus=(2, 1, 1))  # z^2 + z + 2
+    alternative = FieldContext(3, 2, (2, 1, 1))  # z^2 + z + 2
     assert alternative.modulus != F9.modulus
     assert sl_class_measure(2, 9, field=alternative) == sl_class_measure(2, 9, field=F9)
     assert sp_class_measure(1, 9, field=alternative) == sp_class_measure(1, 9, field=F9)

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
+from affine_shuffles import fq
 from affine_shuffles.harness import (
     PROFILES,
     run_checks,
@@ -17,6 +19,7 @@ from affine_shuffles.harness import (
     verify_shuffle_model_a,
     verify_shuffle_model_c,
 )
+from affine_shuffles.perm import ClassMeasure, CycleType
 from affine_shuffles.report import VerificationReport, first_difference
 
 
@@ -45,11 +48,17 @@ def test_shuffle_model_orientation_notes():
     assert verify_shuffle_model_a(4).passed
 
 
-def test_fault_injection_produces_witness():
-    report = verify_dmp("A", 3, 2, fault_injection=True)
+def test_fault_injection_produces_witness(monkeypatch):
+    # the polynomial side with 1/4 of its mass moved from (1,1,1) to (3)
+    masses = dict(fq.sl_class_measure(3, 2).masses)
+    masses[CycleType((1, 1, 1))] -= Fraction(1, 4)
+    masses[CycleType((3,))] += Fraction(1, 4)
+    monkeypatch.setattr(fq, "sl_class_measure", lambda n, q: ClassMeasure(masses))
+    report = verify_dmp("A", 3, 2)
     assert report.status == "fail"
     assert report.witness is not None
     assert "class" in report.witness
+    assert report.witness["class"] == "CycleType(1, 1, 1)"
     # still JSON-serializable with rationals as strings
     payload = report.as_dict()
     json.dumps(payload)

@@ -54,6 +54,26 @@ def test_text_round_trip():
     assert Permutation.from_text(v.to_text()) == v
 
 
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_permutation_text_round_trip_property(images):
+    w = Permutation(tuple(images))
+    assert Permutation.from_text(w.to_text()) == w
+
+
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(
+            st.permutations(range(1, n + 1)),
+            st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n),
+        )
+    )
+)
+def test_signed_permutation_text_round_trip_property(case):
+    images, signs = case
+    w = SignedPermutation(tuple(s * v for s, v in zip(signs, images)))
+    assert SignedPermutation.from_text(w.to_text()) == w
+
+
 def test_composition_convention():
     # (u * v)(i) = u(v(i))
     u, v = perm("2,1,3"), perm("1,3,2")

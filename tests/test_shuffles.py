@@ -98,7 +98,9 @@ def test_two_shuffle_outcomes_are_distinct():
 
 
 def test_affine_c_sampler_deterministic():
-    assert affine_c_shuffle_sample(4, 2, 99) == affine_c_shuffle_sample(4, 2, 99)
+    assert affine_c_shuffle_sample(4, 2, random.Random(99)) == affine_c_shuffle_sample(
+        4, 2, random.Random(99)
+    )
     rng1, rng2 = random.Random(5), random.Random(5)
     run1 = [affine_c_shuffle_sample(3, 3, rng1) for _ in range(10)]
     run2 = [affine_c_shuffle_sample(3, 3, rng2) for _ in range(10)]

@@ -10,7 +10,6 @@ from affine_shuffles.perm import (
     all_permutations,
     cycle_type,
 )
-from affine_shuffles.series import make_monomial, shape_cycle_index_product
 from affine_shuffles.shuffles import two_shuffle_outcomes
 from affine_shuffles.unimodal import (
     CycleShape,
@@ -21,7 +20,6 @@ from affine_shuffles.unimodal import (
     is_unimodal,
     shape_multiset,
     transitive_unimodal_count,
-    transitive_unimodal_shapes,
 )
 
 
@@ -82,10 +80,6 @@ def test_shape_rotation_invariance():
     assert CycleShape((1, 3, 2)) != CycleShape((1, 2, 3))
 
 
-def test_shape_variable_names_deterministic():
-    assert cycle_shape((5, 2, 3)).variable_name() == cycle_shape((9, 4, 7)).variable_name()
-
-
 # --- the 2^{l-1} law -----------------------------------------------------------------
 
 def test_gannon_n3_classes():
@@ -124,12 +118,6 @@ def test_transitive_closed_form_matches_brute_force():
         assert transitive_unimodal_count(n) == brute
 
 
-def test_transitive_shapes():
-    shapes3 = transitive_unimodal_shapes(3)
-    assert len(shapes3) == 1
-    assert shapes3[0] == cycle_shape((2, 3, 1))
-
-
 # --- the eta map -------------------------------------------------------------------------
 
 def test_eta_worked_example_12_cards():
@@ -166,26 +154,3 @@ def test_eta_rejects_invalid_outcomes():
     with pytest.raises(ValueError):
         eta_map(SignedPermutation.from_text("-1,-2,3"))  # negatives out of order
 
-
-# --- the shape-resolved cycle index -----------------------------------------------------
-
-def test_shape_product_matches_enumeration():
-    N = 6
-    shapes_by_size = {
-        size: [s.variable_name() for s in transitive_unimodal_shapes(size)]
-        for size in range(1, N + 1)
-    }
-    product = shape_cycle_index_product(shapes_by_size, N)
-    for n in range(1, N + 1):
-        got = product.u_slice(n)
-        expected: dict = {}
-        for w in enumerate_unimodal(n):
-            exps: dict[str, int] = {}
-            for shape, mult in shape_multiset(w):
-                exps[shape.variable_name()] = mult
-            mono = make_monomial(exps)
-            expected[mono] = expected.get(mono, 0) + 1
-        from fractions import Fraction
-
-        expected = {m: Fraction(c, 2 ** (n - 1)) for m, c in expected.items()}
-        assert got == expected, n
