@@ -14,6 +14,14 @@ a_{k,I} of points with wall set exactly I define the affine k-shuffle element
 equivalently: the coefficient of w is (1/k^r) times the number of alcove
 lattice points whose wall set avoids the cyclic descent roots of w.
 
+The formula reads w only through Cdes(w), so counting once per cyclic
+descent set and reusing the count for every element with that set is exact.
+``x_k_generic`` keeps a memo local to one call; ``x_k_type_a_lattice`` keeps
+the bounded ``lru_cache`` ``_lattice_coefficient``, which no other route
+uses.  A test that monkeypatches what the lattice count reads (such as
+``_alcove_wall_sets``) must ``cache_clear()`` ``_lattice_coefficient`` and
+``x_k_generic`` first, or values cached before the patch hide it.
+
 Realizations (pairing is the Euclidean dot product):
 
 * type A_{n-1}: ambient R^n, alpha_i = e_i - e_{i+1}, alpha_0 = e_n - e_1,
@@ -208,12 +216,17 @@ def x_k_generic(rs: RootSystem, k: int) -> GroupAlgebraElement:
         raise ValueError("k must be positive")
     denom = k**rs.rank
     wall_sets = [walls for _, walls in _alcove_wall_sets(rs, k)]
+    by_cdes: dict[frozenset[int], Fraction] = {}
     coeffs = {}
     for w in rs.group_elements():
         cdes = cyclic_descent_roots(rs, w)
-        count = sum(1 for walls in wall_sets if not (walls & cdes))
-        if count:
-            coeffs[w] = Fraction(count, denom)
+        c = by_cdes.get(cdes)
+        if c is None:
+            c = by_cdes[cdes] = Fraction(
+                sum(1 for walls in wall_sets if not (walls & cdes)), denom
+            )
+        if c:
+            coeffs[w] = c
     return GroupAlgebraElement.probability(rs.kind(), coeffs)
 
 
@@ -225,11 +238,15 @@ def x_k_type_a_lattice(w: Permutation, k: int) -> Fraction:
     decreasing at every descent of w, and with v_1 < v_n + k whenever
     w(n) > w(1); then divides by k^{n-1}.  ``alcove_points`` rejects k < 1.
     """
-    cdes = type_a_stats(w).cyclic_descents
+    return _lattice_coefficient(w.n, k, type_a_stats(w).cyclic_descents)
+
+
+@lru_cache(maxsize=4096)
+def _lattice_coefficient(n: int, k: int, cdes: frozenset[int]) -> Fraction:
     count = sum(
-        1 for _, walls in _alcove_wall_sets(RootSystem.type_a(w.n), k) if walls.isdisjoint(cdes)
+        1 for _, walls in _alcove_wall_sets(RootSystem.type_a(n), k) if walls.isdisjoint(cdes)
     )
-    return Fraction(count, k ** (w.n - 1))
+    return Fraction(count, k ** (n - 1))
 
 
 def verify_cellini_properties(rs: RootSystem, k: int, h: int) -> VerificationReport:

@@ -19,6 +19,15 @@ the partition count, the von Sterneck/Ramanujan sum, and the alcove count.
 
 Type C has a single binomial formula, split by the parity of k, in terms of
 the descent number d(w) (k odd) or the cyclic descent number cd(w) (k even).
+
+Each formula reads w only through its cyclic descent set Cdes(w): cd(w) is
+the size of that set, d(w) its size without the affine marker 0, and maj(w)
+the sum of its other members.  So evaluating a formula once per statistic
+class and reusing the value for every element in the class is exact.
+``_type_a_coefficient`` and ``_type_c_coefficient`` do that; they are bounded
+``lru_cache`` helpers that only this module's routes use.  A test that
+monkeypatches a kernel these helpers call must ``cache_clear()`` both first,
+or values cached before the patch hide it.
 """
 
 from __future__ import annotations
@@ -53,7 +62,12 @@ def x_k_type_a(w: Permutation, k: int, method: int = 1) -> Fraction:
         raise ValueError("k must be positive")
     n = w.n
     stats = type_a_stats(w)
-    cd, maj = stats.cd, stats.maj
+    return _type_a_coefficient(n, k, stats.cd, stats.maj % n, method)
+
+
+@lru_cache(maxsize=4096)
+def _type_a_coefficient(n: int, k: int, cd: int, maj: int, method: int) -> Fraction:
+    # Every route reads maj only mod n, so callers pass maj % n.
     denom = k ** (n - 1)
     if method in (1, 3):
         return Fraction(bounded_partition_count(n - 1, k - cd, n, -maj), denom)
@@ -77,24 +91,34 @@ def x_k_type_c(w: SignedPermutation, k: int) -> Fraction:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    n = w.n
     stats = type_c_stats(w)
-    if k % 2:
-        upper = (k - 1) // 2 + n - stats.d
-    else:
-        upper = k // 2 + n - stats.cd
-    return Fraction(binomial(upper, n), k**n)
+    return _type_c_coefficient(w.n, k, stats.d if k % 2 else stats.cd)
+
+
+@lru_cache(maxsize=1024)
+def _type_c_coefficient(n: int, k: int, descents: int) -> Fraction:
+    # ``descents`` is d(w) for odd k and cd(w) for even k; k // 2 is (k-1)/2
+    # for odd k.
+    return Fraction(binomial(k // 2 + n - descents, n), k**n)
 
 
 @lru_cache(maxsize=None)
 def x_k_measure_type_a(n: int, k: int, method: int = 1) -> GroupAlgebraElement:
     """The whole type A element, from the chosen closed form."""
-    coeffs = {w: x_k_type_a(w, k, method) for w in all_permutations(n)}
+    coeffs = {}
+    for w in all_permutations(n):
+        c = x_k_type_a(w, k, method)
+        if c:
+            coeffs[w] = c
     return GroupAlgebraElement.probability(GroupKind("A", n), coeffs)
 
 
 @lru_cache(maxsize=None)
 def x_k_measure_type_c(n: int, k: int) -> GroupAlgebraElement:
     """The whole type C element, from the binomial closed form."""
-    coeffs = {w: x_k_type_c(w, k) for w in all_signed_permutations(n)}
+    coeffs = {}
+    for w in all_signed_permutations(n):
+        c = x_k_type_c(w, k)
+        if c:
+            coeffs[w] = c
     return GroupAlgebraElement.probability(GroupKind("C", n), coeffs)

@@ -46,12 +46,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Permutation:
-    """Element of S_n in one-line form: ``images[i-1] == w(i)``."""
+    """Element of S_n (n >= 1) in one-line form: ``images[i-1] == w(i)``."""
 
+    # Declared by hand: ``dataclass(slots=True)`` rebuilds the class and, on
+    # Python 3.11, keeps the discarded original alive.
+    __slots__ = ("images",)
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = len(self.images)
+        if n == 0:
+            raise ValueError("a permutation needs at least one symbol")
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images!r}")
 
@@ -109,16 +114,20 @@ class Permutation:
 
 @dataclass(frozen=True)
 class SignedPermutation:
-    """Element of C_n: images may be negated, absolute values are a bijection.
+    """Element of C_n (n >= 1): images may be negated, absolute values are a
+    bijection.
 
     The action on negative arguments is forced by w(-i) = -w(i), which makes
     the sign-product rule for cycle types well defined.
     """
 
+    __slots__ = ("images",)  # by hand, as in Permutation
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = len(self.images)
+        if n == 0:
+            raise ValueError("a signed permutation needs at least one symbol")
         if sorted(abs(v) for v in self.images) != list(range(1, n + 1)) or 0 in self.images:
             raise ValueError(f"not a signed permutation on 1..{n}: {self.images!r}")
 
@@ -223,6 +232,9 @@ class TypeCStats(NamedTuple):
     cd: int
 
 
+_AFFINE = frozenset((0,))  # the affine marker, as a set to join with the descents
+
+
 def type_a_stats(w: Permutation) -> TypeAStats:
     """Descent set, major index, and cyclic descents of w in S_n.
 
@@ -232,19 +244,10 @@ def type_a_stats(w: Permutation) -> TypeAStats:
     0 for the affine root.
     """
     images = w.images
-    n = w.n
-    descents = frozenset(i for i in range(1, n) if images[i - 1] > images[i])
-    maj = sum(descents)
-    cyclic = set(descents)
-    if n >= 2 and images[-1] > images[0]:
-        cyclic.add(0)
-    cyclic_descents = frozenset(cyclic)
-    return TypeAStats(descents, maj, cyclic_descents, len(cyclic_descents))
-
-
-def _type_c_key(x: int) -> tuple[bool, int]:
-    # Total order 1 < 2 < ... < n < -n < ... < -2 < -1.
-    return (x < 0, x)
+    desc = [i for i in range(1, len(images)) if images[i - 1] > images[i]]
+    descents = frozenset(desc)
+    cyclic = descents | _AFFINE if images[-1] > images[0] else descents
+    return TypeAStats(descents, sum(desc), cyclic, len(cyclic))
 
 
 def type_c_stats(w: SignedPermutation) -> TypeCStats:
@@ -257,18 +260,18 @@ def type_c_stats(w: SignedPermutation) -> TypeCStats:
     descent at position 1 maps to the affine marker 0.
     """
     images = w.images
-    n = w.n
-    desc = set()
-    for i in range(1, n):
-        if _type_c_key(images[i - 1]) > _type_c_key(images[i]):
-            desc.add(i)
+    n = len(images)
+    # In that order a comes after b exactly when a > b as integers and the
+    # two have the same sign, or when a < 0 < b.
+    desc = [
+        i for i in range(1, n)
+        if (images[i - 1] > images[i]) != (images[i - 1] * images[i] < 0)
+    ]
     if images[-1] < 0:
-        desc.add(n)
-    d = len(desc)
-    cyclic = set(desc)
-    if images[0] > 0:
-        cyclic.add(0)
-    return TypeCStats(frozenset(desc), d, frozenset(cyclic), len(cyclic))
+        desc.append(n)
+    descents = frozenset(desc)
+    cyclic = descents | _AFFINE if images[0] > 0 else descents
+    return TypeCStats(descents, len(descents), cyclic, len(cyclic))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +371,8 @@ class GroupAlgebraElement:
         expected = Permutation if self.kind.family == "A" else SignedPermutation
         cleaned = {}
         for w, c in self.coeffs.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:  # shared Fraction values stay shared
+                c = Fraction(c)
             if w.n != self.kind.n:
                 raise ValueError(f"element {w!r} does not belong to {self.kind}")
             if not isinstance(w, expected):

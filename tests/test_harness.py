@@ -134,11 +134,20 @@ def test_verify_all_quick_passes():
         "shuffle_model_c",
         "unimodal_count",
     } <= covered
-    # every report, witnesses and notes included, is byte-identical to the
-    # pinned battery; a change that alters any report must re-pin on purpose
+    assert (len(reports), report_digest(reports)) == (138, "b236701b0c35ea56")
+
+
+def test_verify_all_full_digest():
+    reports = verify_all("full")
+    assert all(r.passed for r in reports)
+    assert (len(reports), report_digest(reports)) == (973, "f38560fd9b7cdb5b")
+
+
+def report_digest(reports):
+    """Every report, witnesses and notes included, hashed without its timing;
+    a change that alters any report must re-pin the digest on purpose."""
     dumped = [{k: v for k, v in r.as_dict().items() if k != "elapsed"} for r in reports]
-    digest = hashlib.sha256(json.dumps(dumped, sort_keys=True).encode()).hexdigest()
-    assert (len(reports), digest[:16]) == (138, "b236701b0c35ea56")
+    return hashlib.sha256(json.dumps(dumped, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def test_verify_all_rejects_unknown_profile():

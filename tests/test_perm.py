@@ -46,6 +46,20 @@ def test_permutation_validation():
         SignedPermutation((2, 3))
 
 
+def test_empty_elements_rejected():
+    # an element on 0 symbols would print as "", which parses to nothing
+    for cls in (Permutation, SignedPermutation):
+        with pytest.raises(ValueError, match="at least one symbol"):
+            cls(())
+        with pytest.raises(ValueError):
+            cls.from_text("")
+
+
+def test_elements_carry_no_instance_dict():
+    assert not hasattr(perm("2,1"), "__dict__")
+    assert not hasattr(sperm("-2,1"), "__dict__")
+
+
 def test_text_round_trip():
     w = sperm("3,1,-2,4,5")
     assert w.to_text() == "3,1,-2,4,5"
@@ -117,7 +131,26 @@ def test_type_a_cd_bounds():
             assert 1 <= type_a_stats(w).cd <= n
 
 
+def test_type_a_stats_match_definition():
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            descents = {i for i in range(1, n) if w(i) > w(i + 1)}
+            cyclic = descents | ({0} if n >= 2 and w(n) > w(1) else set())
+            assert type_a_stats(w) == (descents, sum(descents), cyclic, len(cyclic)), w
+
+
 # --- type C statistics -----------------------------------------------------
+
+def test_type_c_stats_match_definition():
+    for n in range(1, 5):
+        order = list(range(1, n + 1)) + list(range(-n, 0))  # 1 < .. < n < -n < .. < -1
+        rank = {x: r for r, x in enumerate(order)}
+        for w in all_signed_permutations(n):
+            descents = {i for i in range(1, n) if rank[w(i)] > rank[w(i + 1)]}
+            descents |= {n} if w(n) < 0 else set()
+            cyclic = descents | ({0} if w(1) > 0 else set())
+            assert type_c_stats(w) == (descents, len(descents), cyclic, len(cyclic)), w
+
 
 def test_type_c_stats_paper_example():
     # cyclic descent at position 1 and descents at positions 1 and 3
