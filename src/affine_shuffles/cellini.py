@@ -16,11 +16,13 @@ lattice points whose wall set avoids the cyclic descent roots of w.
 
 The formula reads w only through Cdes(w), so counting once per cyclic
 descent set and reusing the count for every element with that set is exact.
-``x_k_generic`` keeps a memo local to one call; ``x_k_type_a_lattice`` keeps
-the bounded ``lru_cache`` ``_lattice_coefficient``, which no other route
-uses.  A test that monkeypatches what the lattice count reads (such as
-``_alcove_wall_sets``) must ``cache_clear()`` ``_lattice_coefficient`` and
-``x_k_generic`` first, or values cached before the patch hide it.
+``x_k_generic`` counts once per class of ``perm.descent_classes`` and copies
+the count to the class's members (``GroupAlgebraElement.probability_per_class``);
+``x_k_type_a_lattice`` keeps the bounded ``lru_cache`` ``_lattice_coefficient``,
+which no other route uses.  A test that monkeypatches what the lattice count
+reads (such as ``_alcove_wall_sets``) must ``cache_clear()``
+``_lattice_coefficient`` and ``x_k_generic`` first, or values cached before
+the patch hide it.
 
 Realizations (pairing is the Euclidean dot product):
 
@@ -32,6 +34,7 @@ Realizations (pairing is the Euclidean dot product):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,6 +46,7 @@ from .perm import (
     GroupKind,
     Permutation,
     SignedPermutation,
+    descent_classes,
     type_a_stats,
     type_c_stats,
 )
@@ -143,7 +147,7 @@ def _weakly_decreasing(length: int, bound: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def alcove_points(rs: RootSystem, k: int) -> tuple[Vector, ...]:
     """All coroot-lattice points of the closed k-dilated fundamental alcove.
 
@@ -187,7 +191,7 @@ def wall_set(rs: RootSystem, k: int, y: Vector) -> frozenset[int]:
     return frozenset(walls)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _alcove_wall_sets(rs: RootSystem, k: int) -> tuple[tuple[Vector, frozenset[int]], ...]:
     return tuple((y, wall_set(rs, k, y)) for y in alcove_points(rs, k))
 
@@ -201,33 +205,33 @@ def a_k_I(rs: RootSystem, k: int, I: Iterable[int]) -> int:
 
 
 def cyclic_descent_roots(rs: RootSystem, w: GroupElement) -> frozenset[int]:
-    """Cyclic descent set of w as extended-root indices (0 = affine root)."""
-    if rs.family == "A":
-        assert isinstance(w, Permutation)
-        return type_a_stats(w).cyclic_descents
-    assert isinstance(w, SignedPermutation)
-    return type_c_stats(w).cyclic_descents
+    """Cyclic descent set of w as extended-root indices (0 = affine root).
+
+    Raises TypeError unless w is a ``Permutation`` for type A or a
+    ``SignedPermutation`` for type C.
+    """
+    expected, stats = (
+        (Permutation, type_a_stats) if rs.family == "A" else (SignedPermutation, type_c_stats)
+    )
+    if not isinstance(w, expected):
+        raise TypeError(
+            f"type {rs.family} cyclic descents need a {expected.__name__}, "
+            f"got {type(w).__name__}"
+        )
+    return stats(w).cyclic_descents
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def x_k_generic(rs: RootSystem, k: int) -> GroupAlgebraElement:
     """The affine k-shuffle element from the a_{k,I} wall-set counts."""
     if k < 1:
         raise ValueError("k must be positive")
     denom = k**rs.rank
     wall_sets = [walls for _, walls in _alcove_wall_sets(rs, k)]
-    by_cdes: dict[frozenset[int], Fraction] = {}
-    coeffs = {}
-    for w in rs.group_elements():
-        cdes = cyclic_descent_roots(rs, w)
-        c = by_cdes.get(cdes)
-        if c is None:
-            c = by_cdes[cdes] = Fraction(
-                sum(1 for walls in wall_sets if not (walls & cdes)), denom
-            )
-        if c:
-            coeffs[w] = c
-    return GroupAlgebraElement.probability(rs.kind(), coeffs)
+    return GroupAlgebraElement.probability_per_class(
+        rs.kind(),
+        lambda cls: Fraction(sum(1 for walls in wall_sets if not (walls & cls.cdes)), denom),
+    )
 
 
 def x_k_type_a_lattice(w: Permutation, k: int) -> Fraction:
@@ -259,12 +263,12 @@ def verify_cellini_properties(rs: RootSystem, k: int, h: int) -> VerificationRep
     timer = CheckTimer()
     params = {"family": rs.family, "rank": rs.rank, "k": k, "h": h}
     denom = k**rs.rank
-    elements = list(rs.group_elements())
-    cdes = {w: cyclic_descent_roots(rs, w) for w in elements}
     wall_sets = [walls for _, walls in _alcove_wall_sets(rs, k)]
 
+    # |U_I| is the total size of the classes whose Cdes avoids I.
+    classes = descent_classes(*rs.kind())
     measure_sum = sum(
-        sum(1 for w in elements if not (cdes[w] & walls)) for walls in wall_sets
+        sum(cls.size for cls in classes if not (cls.cdes & walls)) for walls in wall_sets
     )
     if measure_sum != denom:
         return timer.report(
@@ -272,8 +276,10 @@ def verify_cellini_properties(rs: RootSystem, k: int, h: int) -> VerificationRep
             {"identity": "sum_I a_kI |U_I| = k^r", "left": measure_sum, "right": denom},
         )
 
+    inverse_cdes = Counter(cyclic_descent_roots(rs, w.inverse()) for w in rs.group_elements())
     pair_count = sum(
-        sum(1 for w in elements if not (cdes[w.inverse()] & walls)) for walls in wall_sets
+        sum(count for cdes, count in inverse_cdes.items() if not (cdes & walls))
+        for walls in wall_sets
     )
     if pair_count != denom:
         return timer.report(

@@ -25,9 +25,14 @@ the size of that set, d(w) its size without the affine marker 0, and maj(w)
 the sum of its other members.  So evaluating a formula once per statistic
 class and reusing the value for every element in the class is exact.
 ``_type_a_coefficient`` and ``_type_c_coefficient`` do that; they are bounded
-``lru_cache`` helpers that only this module's routes use.  A test that
-monkeypatches a kernel these helpers call must ``cache_clear()`` both first,
-or values cached before the patch hide it.
+``lru_cache`` helpers that only this module's routes use.  The whole-group
+measures go one step further: through
+``GroupAlgebraElement.probability_per_class`` they evaluate the formula on
+the first element of each class of ``perm.descent_classes`` (``x_k_type_a``
+or ``x_k_type_c`` compute that element's statistics afresh) and copy the
+value to the class's members.
+A test that monkeypatches a kernel these helpers call must ``cache_clear()``
+them and the two measures first, or values cached before the patch hide it.
 """
 
 from __future__ import annotations
@@ -41,8 +46,6 @@ from .perm import (
     GroupKind,
     Permutation,
     SignedPermutation,
-    all_permutations,
-    all_signed_permutations,
     type_a_stats,
     type_c_stats,
 )
@@ -102,23 +105,17 @@ def _type_c_coefficient(n: int, k: int, descents: int) -> Fraction:
     return Fraction(binomial(k // 2 + n - descents, n), k**n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def x_k_measure_type_a(n: int, k: int, method: int = 1) -> GroupAlgebraElement:
     """The whole type A element, from the chosen closed form."""
-    coeffs = {}
-    for w in all_permutations(n):
-        c = x_k_type_a(w, k, method)
-        if c:
-            coeffs[w] = c
-    return GroupAlgebraElement.probability(GroupKind("A", n), coeffs)
+    return GroupAlgebraElement.probability_per_class(
+        GroupKind("A", n), lambda cls: x_k_type_a(cls.first, k, method)
+    )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def x_k_measure_type_c(n: int, k: int) -> GroupAlgebraElement:
     """The whole type C element, from the binomial closed form."""
-    coeffs = {}
-    for w in all_signed_permutations(n):
-        c = x_k_type_c(w, k)
-        if c:
-            coeffs[w] = c
-    return GroupAlgebraElement.probability(GroupKind("C", n), coeffs)
+    return GroupAlgebraElement.probability_per_class(
+        GroupKind("C", n), lambda cls: x_k_type_c(cls.first, k)
+    )

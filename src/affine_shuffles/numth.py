@@ -62,7 +62,7 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def mobius(n: int) -> int:
     """Moebius function by the squarefree sign rule.
 
@@ -179,7 +179,7 @@ class IntPolynomial:
         return IntPolynomial((0,) * amount + self.coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def q_binomial(a: int, b: int) -> IntPolynomial:
     """Gaussian binomial coefficient as a polynomial in q.
 

@@ -10,18 +10,29 @@ and every statement about shuffle models elsewhere in the package is made
 against this convention.
 
 The module also houses the descent statistics the measures are built from
-(descents, major index, cyclic descents for both types), conjugacy-class data
-(cycle types, signed cycle types), descent histograms, and sparse group-algebra
-arithmetic over exact rationals.
+(descents, major index, cyclic descents for both types), the cyclic-descent
+class index, conjugacy-class data (cycle types, signed cycle types), descent
+histograms, and sparse group-algebra arithmetic over exact rationals.
+
+Every affine shuffle element x_k reads w only through its cyclic descent set
+Cdes(w) (Cellini: the coefficient of w is (1/k^r) times the number of alcove
+points whose wall set avoids Cdes(w)), so x_k is constant on the classes of
+equal Cdes.  ``descent_classes`` enumerates a group once and keeps, per
+class, its Cdes, its first element and its members packed as signed bytes;
+computing a route's value once on the first element and copying it to every
+member is exact.  S_8 has 254 classes for 40,320 elements, C_6 126 for
+46,080.  The index is an ``lru_cache``: a test that monkeypatches it, or the
+descent statistics it reads, must ``cache_clear()`` it first.
 """
 
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 __all__ = [
     "Permutation",
@@ -33,6 +44,8 @@ __all__ = [
     "ClassMeasure",
     "TypeAStats",
     "TypeCStats",
+    "DescentClass",
+    "descent_classes",
     "type_a_stats",
     "type_c_stats",
     "cycle_type",
@@ -203,15 +216,37 @@ def _check_family(family: str) -> None:
         raise ValueError(f"family must be 'A' or 'C', got {family!r}")
 
 
+# The slot's own setter, which a frozen dataclass's __setattr__ does not block.
+_SET_IMAGES = {cls: cls.__dict__["images"].__set__ for cls in (Permutation, SignedPermutation)}
+
+
+def _trusted(cls: type, images: tuple[int, ...]) -> GroupElement:
+    # An element whose images are valid by construction, built without the
+    # constructor's check (the sort and compare are half of enumeration).
+    w = object.__new__(cls)
+    _SET_IMAGES[cls](w, images)
+    return w
+
+
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"a group element needs at least one symbol, got n={n}")
+
+
 def all_permutations(n: int) -> Iterator[Permutation]:
+    """S_n in the lexicographic order of ``itertools.permutations``."""
+    _check_size(n)
     for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
+        yield _trusted(Permutation, images)
 
 
 def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
+    """C_n: each permutation in S_n's order, then its sign patterns in the
+    order of ``itertools.product((1, -1), repeat=n)``."""
+    _check_size(n)
     for images in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield SignedPermutation(tuple(s * v for s, v in zip(signs, images)))
+        for signed in itertools.product(*((v, -v) for v in images)):
+            yield _trusted(SignedPermutation, signed)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +309,59 @@ def type_c_stats(w: SignedPermutation) -> TypeCStats:
     return TypeCStats(descents, len(descents), cyclic, len(cyclic))
 
 
+class DescentClass(NamedTuple):
+    """The elements of one group with one cyclic descent set.
+
+    ``packed`` holds every member's images, n signed bytes each (so
+    n <= 127), in enumeration order; ``first`` is the first of them.  Members are unpacked
+    on demand, so the index holds no element object beyond ``first``.
+    """
+
+    cdes: frozenset[int]
+    first: GroupElement
+    packed: bytes
+
+    @property
+    def size(self) -> int:
+        return len(self.packed) // self.first.n
+
+    def members(self) -> list[GroupElement]:
+        """Every element of the class, in enumeration order."""
+        cls = type(self.first)
+        return [_trusted(cls, images)
+                for images in struct.iter_unpack(f"{self.first.n}b", self.packed)]
+
+
+@lru_cache(maxsize=16)
+def descent_classes(family: str, n: int) -> tuple[DescentClass, ...]:
+    """S_n (family "A") or C_n (family "C") split by cyclic descent set.
+
+    Classes come in the order their first elements are enumerated, so
+    scanning the classes' first elements meets the classes in the same order
+    as scanning the whole group.  Keys are ``type_a_stats(w).cyclic_descents``
+    or ``type_c_stats(w).cyclic_descents``.
+    """
+    _check_family(family)
+    _check_size(n)
+    if family == "A":
+        elements, stats = all_permutations(n), type_a_stats
+    else:
+        elements, stats = all_signed_permutations(n), type_c_stats
+    pack = struct.Struct(f"{n}b").pack
+    firsts: dict[frozenset[int], GroupElement] = {}
+    packed: dict[frozenset[int], bytearray] = {}
+    for w in elements:
+        cdes = stats(w).cyclic_descents
+        images = packed.get(cdes)
+        if images is None:
+            firsts[cdes] = w
+            images = packed[cdes] = bytearray()
+        images += pack(*w.images)
+    return tuple(
+        DescentClass(cdes, firsts[cdes], bytes(images)) for cdes, images in packed.items()
+    )
+
+
 # ---------------------------------------------------------------------------
 # Cycle types
 # ---------------------------------------------------------------------------
@@ -334,7 +422,7 @@ class HistogramPair(NamedTuple):
     N: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def descent_histograms(n: int) -> HistogramPair:
     """Descent histograms at size n, both computed by full enumeration.
 
@@ -406,6 +494,20 @@ class GroupAlgebraElement:
         element = cls(kind, coeffs)
         _require_probability(element.coeffs)
         return element
+
+    @classmethod
+    def probability_per_class(
+        cls, kind: GroupKind, value: Callable[[DescentClass], Fraction]
+    ) -> "GroupAlgebraElement":
+        """The probability element that gives every member of each class of
+        ``descent_classes(*kind)`` the class's ``value``; classes of value 0
+        are never unpacked."""
+        coeffs = {}
+        for descent_class in descent_classes(*kind):
+            c = value(descent_class)
+            if c:
+                coeffs.update(dict.fromkeys(descent_class.members(), c))
+        return cls.probability(kind, coeffs)
 
     def class_measure(self) -> "ClassMeasure":
         """Push a probability element forward to conjugacy classes."""

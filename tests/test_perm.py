@@ -1,5 +1,6 @@
 """Group elements, statistics, cycle types, and group-algebra arithmetic."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from affine_shuffles.perm import (
     all_signed_permutations,
     convolve,
     cycle_type,
+    descent_classes,
     descent_histograms,
     invert_element,
     type_a_stats,
@@ -137,6 +139,71 @@ def test_type_a_stats_match_definition():
             descents = {i for i in range(1, n) if w(i) > w(i + 1)}
             cyclic = descents | ({0} if n >= 2 and w(n) > w(1) else set())
             assert type_a_stats(w) == (descents, sum(descents), cyclic, len(cyclic)), w
+
+
+# --- enumeration and the cyclic-descent class index ----------------------------
+
+GROUPS = [("A", n) for n in range(1, 7)] + [("C", n) for n in range(1, 5)]
+
+
+def _validated_elements(family, n):
+    # Built through the checking constructors, in the documented order.
+    perms = itertools.permutations(range(1, n + 1))
+    if family == "A":
+        return [Permutation(images) for images in perms]
+    return [
+        SignedPermutation(tuple(s * v for s, v in zip(signs, images)))
+        for images in perms
+        for signs in itertools.product((1, -1), repeat=n)
+    ]
+
+
+def _enumerate(family, n):
+    return list(all_permutations(n) if family == "A" else all_signed_permutations(n))
+
+
+@pytest.mark.parametrize("family, n", GROUPS)
+def test_enumerators_yield_the_validated_elements(family, n):
+    expected = _validated_elements(family, n)
+    got = _enumerate(family, n)
+    assert got == expected
+    assert [type(w) for w in got] == [type(w) for w in expected]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_enumerators_reject_sizes_below_one(n):
+    for enumerate_group in (all_permutations, all_signed_permutations):
+        with pytest.raises(ValueError, match="at least one symbol"):
+            list(enumerate_group(n))
+    with pytest.raises(ValueError, match="at least one symbol"):
+        descent_classes("A", n)
+
+
+def test_descent_classes_rejects_unknown_family():
+    with pytest.raises(ValueError, match="family"):
+        descent_classes("B", 3)
+
+
+@pytest.mark.parametrize("family, n", GROUPS)
+def test_descent_classes_partition_the_group_in_enumeration_order(family, n):
+    stats = type_a_stats if family == "A" else type_c_stats
+    elements = _enumerate(family, n)
+    classes = descent_classes(family, n)
+    # Classes in order of first occurrence; members in enumeration order.
+    assert [c.cdes for c in classes] == list(
+        dict.fromkeys(stats(w).cyclic_descents for w in elements)
+    )
+    for c in classes:
+        members = c.members()
+        assert members == [w for w in elements if stats(w).cyclic_descents == c.cdes]
+        assert members[0] == c.first and c.size == len(members)
+        assert all(stats(w).cyclic_descents == c.cdes for w in members)
+    assert sorted(w.images for c in classes for w in c.members()) == sorted(
+        w.images for w in elements
+    )
+    # Every Cdes but the empty and the full one occurs (S_1 has one class).
+    rank = n - 1 if family == "A" else n
+    assert len(classes) == (1 if rank == 0 else 2 ** (rank + 1) - 2)
 
 
 # --- type C statistics -----------------------------------------------------

@@ -1,17 +1,22 @@
-"""Per-class evaluation of the x_k routes.
+"""Per-class evaluation of the x_k routes, and the caches behind it.
 
 Every route computes a coefficient once per cyclic-descent class and caches
-it, so these tests start from cold caches: the class-invariance check then
-compares freshly computed values, and a kernel corrupted after the clear
-cannot hide behind values cached before it.
+it, and the whole-group routes read the class index ``perm.descent_classes``,
+which is cached too.  So these tests start from cold caches: the
+class-invariance check then compares freshly computed values, and a kernel or
+an index input corrupted after the clear cannot hide behind values cached
+before it.  A monkeypatch of anything these caches read must clear them.
 """
 
+import importlib
+import pkgutil
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from affine_shuffles import cellini, closed_forms, numth
+import affine_shuffles
+from affine_shuffles import cellini, closed_forms, numth, perm
 from affine_shuffles.cellini import (
     RootSystem,
     a_k_I,
@@ -20,9 +25,10 @@ from affine_shuffles.cellini import (
     x_k_type_a_lattice,
 )
 from affine_shuffles.closed_forms import x_k_type_a, x_k_type_c
-from affine_shuffles.harness import verify_four_formulas
+from affine_shuffles.harness import verify_dmp, verify_four_formulas
 
 ROUTE_CACHES = (
+    perm.descent_classes,
     closed_forms._type_a_coefficient,
     closed_forms._type_c_coefficient,
     closed_forms.x_k_measure_type_a,
@@ -104,3 +110,55 @@ def test_corrupt_lattice_count_fails_four_formulas(cold_route_caches, monkeypatc
         "element": "1,2,3,4", "k": 1,
         "values (methods 1, 2, 4, lattice)": [Fraction(1)] * 3 + [Fraction(0)],
     }
+
+
+def _misplace(monkeypatch, moves):
+    # Only the class index reads ``perm.type_a_stats`` through ``perm``; the
+    # routes hold their own reference, so they still see true statistics.
+    sound = perm.type_a_stats
+
+    def misplaced(w):
+        stats = sound(w)
+        cdes = moves.get(w.images)
+        return stats if cdes is None else stats._replace(cyclic_descents=cdes)
+
+    monkeypatch.setattr(perm, "type_a_stats", misplaced)
+
+
+def test_misplaced_index_element_breaks_the_measure(cold_route_caches, monkeypatch):
+    # 1,3,4,2 (Cdes {0, 3}, x_3 = 1/27) filed under {0} (x_3 = 1/9): the
+    # element's mass changes alone, so the total is no longer 1.
+    _misplace(monkeypatch, {(1, 3, 4, 2): frozenset({0})})
+    with pytest.raises(ValueError, match="sum to 29/27"):
+        verify_dmp("A", 4, 3)
+
+
+def test_swapped_index_elements_fail_dmp_with_class_witness(cold_route_caches, monkeypatch):
+    # 1,3,4,2 (a 3-cycle, x_4 = 1/32) and 2,4,1,3 (a 4-cycle, x_4 = 3/64)
+    # trade classes.  Neither is the first of its class, so every route
+    # still agrees on every class and the total stays 1; only the
+    # polynomial side, which shares nothing with the index, sees the error.
+    _misplace(monkeypatch, {(1, 3, 4, 2): frozenset({0, 2}), (2, 4, 1, 3): frozenset({0, 3})})
+    report = verify_dmp("A", 4, 4)
+    assert report.status == "fail"
+    assert report.witness == {
+        "class": "CycleType(3, 1)",
+        "polynomial_side": Fraction(20, 64),
+        "shuffle_side": Fraction(21, 64),
+    }
+    assert verify_dmp("A", 4, 3).status == "pass"  # no swapped pair differs at k = 3
+
+
+def test_every_lru_cache_is_bounded():
+    unbounded = []
+    for info in pkgutil.iter_modules(affine_shuffles.__path__):
+        module = importlib.import_module(f"affine_shuffles.{info.name}")
+        owners = [module] + [
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+        ]
+        for owner in owners:
+            for name, obj in vars(owner).items():
+                if hasattr(obj, "cache_parameters") and obj.cache_parameters()["maxsize"] is None:
+                    unbounded.append(f"{module.__name__}.{name}")
+    assert unbounded == []
