@@ -67,7 +67,11 @@ def verify_dmp(family: str, n: int, q: int) -> VerificationReport:
     timer = CheckTimer()
     params = {"family": family, "n": n, "q": q}
 
-    generic = cellini.x_k_generic(_root_system(family, n), q)
+    rs = _root_system(family, n)
+    try:
+        generic = cellini.x_k_generic(rs, q)
+    except ValueError as exc:  # probability() saw a negative mass or a total other than 1
+        return timer.report("dmp", params, {"route": "x_k_generic", "issue": str(exc)})
     if family == "A":
         polynomial = fq.sl_class_measure(n, q)
         for w in (cls.first for cls in descent_classes("A", n)):
@@ -406,17 +410,29 @@ def verify_limit_law(n: int, q: int, tolerance: float) -> VerificationReport:
 def verify_sampler(
     n: int, k: int, draws: int, tolerance: float, seed: int
 ) -> VerificationReport:
-    """Seeded empirical frequencies stay near the exact model distribution."""
+    """Seeded empirical frequencies stay near the exact model distribution.
+
+    The draws are counted as raw image tuples; each distinct outcome is then
+    validated once, as a ``SignedPermutation``, before it is compared."""
+    if draws < 1:
+        raise ValueError(f"draws must be positive, got {draws}")
     timer = CheckTimer()
     params = {"n": n, "k": k, "draws": draws, "tolerance": tolerance, "seed": seed}
     exact = shuffles.affine_c_shuffle_distribution(n, k)
     rng = random.Random(seed)
-    counts: Counter = Counter()
-    for _ in range(draws):
-        counts[shuffles.affine_c_shuffle_sample(n, k, rng)] += 1
+    raw = Counter(shuffles.affine_c_images(n, k, rng) for _ in range(draws))
+    counts = {}
+    for images, count in raw.items():
+        try:
+            counts[SignedPermutation(images)] = count
+        except ValueError as exc:
+            return timer.report(
+                "sampler_sanity", params,
+                {"invalid_outcome": list(images), "draws": count, "issue": str(exc)},
+            )
     sup = 0.0
     for w in set(exact.coeffs) | set(counts):
-        sup = max(sup, abs(counts[w] / draws - float(exact.coefficient(w))))
+        sup = max(sup, abs(counts.get(w, 0) / draws - float(exact.coefficient(w))))
     witness = None if sup <= tolerance else {"sup_norm": sup}
     return timer.report(
         "sampler_sanity", params, witness, notes=f"sup-norm deviation {sup:.4f}"

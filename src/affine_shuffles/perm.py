@@ -95,18 +95,19 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its smallest member, ordered by it."""
-        seen = [False] * self.n
+        images = self.images  # read directly: the range check of __call__ is moot here
+        seen = [False] * len(images)
         out = []
-        for start in range(1, self.n + 1):
+        for start in range(1, len(images) + 1):
             if seen[start - 1]:
                 continue
             cyc = [start]
             seen[start - 1] = True
-            j = self(start)
+            j = images[start - 1]
             while j != start:
                 cyc.append(j)
                 seen[j - 1] = True
-                j = self(j)
+                j = images[j - 1]
             out.append(tuple(cyc))
         return out
 
@@ -411,8 +412,9 @@ def cycle_type(w: GroupElement) -> CycleType | SignedCycleType:
         return CycleType(tuple(sorted((len(c) for c in w.cycles()), reverse=True)))
     lam: list[int] = []
     mu: list[int] = []
+    images = w.images
     for cyc in w.underlying().cycles():
-        negatives = sum(1 for i in cyc if w(i) < 0)
+        negatives = sum(1 for i in cyc if images[i - 1] < 0)
         (lam if negatives % 2 == 0 else mu).append(len(cyc))
     return SignedCycleType(tuple(sorted(lam, reverse=True)), tuple(sorted(mu, reverse=True)))
 

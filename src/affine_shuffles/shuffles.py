@@ -11,16 +11,20 @@ Conventions, fixed once and validated against the closed-form measures:
 
 Each exact distribution is enumerated as a probability element of the group
 algebra (``GroupAlgebraElement.probability``), the same type as the x_k
-elements it inverts; the samplers use a caller-supplied seeded generator and
-never touch global randomness.
+elements it inverts.  The samplers draw through one kernel on plain tuples,
+``_riffle_images``, with a caller-supplied seeded generator, never global
+randomness; the exact side and the sampler side share only the cut stacks of
+``_stacks_for_cut``.  A draw's ``rng.randrange`` calls (arguments and order)
+fix its outcome for a seed, and tests pin the streams of all three samplers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .numth import binomial
 from .perm import (
@@ -101,22 +105,25 @@ def riffle_distribution(n: int, k: int) -> GroupAlgebraElement:
     return GroupAlgebraElement.probability(GroupKind("A", n), masses)
 
 
-def _stacks_for_cut(sizes: tuple[int, ...], flip_odd_indexed: bool | None) -> list[list[int]]:
+@functools.lru_cache(maxsize=512)
+def _stacks_for_cut(
+    sizes: tuple[int, ...], flip_odd_indexed: bool | None
+) -> tuple[tuple[int, ...], ...]:
     # Stack s takes the next sizes[s] cards off the top; flipping reverses and
     # negates.  flip_odd_indexed True flips stacks 1,3,... (1-based), False
     # flips 2,4,...; None flips nothing.
     stacks = []
     start = 0
     for s, j in enumerate(sizes, start=1):
-        cards = list(range(start + 1, start + j + 1))
+        cards = range(start + 1, start + j + 1)
         start += j
         if flip_odd_indexed is not None and (s % 2 == 1) == flip_odd_indexed:
             cards = [-c for c in reversed(cards)]
-        stacks.append(cards)
-    return stacks
+        stacks.append(tuple(cards))
+    return tuple(stacks)
 
 
-def _merge(stacks: list[list[int]], word: tuple[int, ...]) -> tuple[int, ...]:
+def _merge(stacks: Sequence[Sequence[int]], word: tuple[int, ...]) -> tuple[int, ...]:
     positions = [0] * len(stacks)
     out = []
     for s in word:
@@ -125,36 +132,40 @@ def _merge(stacks: list[list[int]], word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _riffle_images(stacks: Sequence[Sequence[int]], rng: random.Random) -> tuple[int, ...]:
+    # The draw kernel: drop the top card of a stack chosen with probability
+    # proportional to its remaining size (uniform over interleavings), straight
+    # into the one-line images.  One rng.randrange(cards left) per card.
+    left = [len(stack) for stack in stacks]
+    out = []
+    for total in range(sum(left), 0, -1):
+        pick = rng.randrange(total)
+        s = 0
+        while pick >= left[s]:
+            pick -= left[s]
+            s += 1
+        out.append(stacks[s][-left[s]])
+        left[s] -= 1
+    return tuple(out)
+
+
+def _multinomial_cut(
+    n: int, k: int, flip_odd_indexed: bool | None, rng: random.Random
+) -> tuple[tuple[int, ...], ...]:
+    # Each card goes to one of k stacks, one rng.randrange(k) per card.
+    sizes = [0] * k
+    for _ in range(n):
+        sizes[rng.randrange(k)] += 1
+    return _stacks_for_cut(tuple(sizes), flip_odd_indexed)
+
+
 def riffle_sample(n: int, k: int, rng: random.Random) -> Permutation:
     """One draw from ``riffle_distribution(n, k)``.
 
     The physical cut-and-interleave process produces the inverse orientation,
     so the merged deck is inverted before returning.
     """
-    sizes = [0] * k
-    for _ in range(n):
-        sizes[rng.randrange(k)] += 1
-    stacks = _stacks_for_cut(tuple(sizes), None)
-    word = _weighted_interleaving(tuple(sizes), rng)
-    return Permutation(_merge(stacks, word)).inverse()
-
-
-def _weighted_interleaving(sizes: tuple[int, ...], rng: random.Random) -> tuple[int, ...]:
-    # Drop from each stack with probability proportional to its remaining
-    # size; the resulting word is uniform over interleavings.
-    remaining = list(sizes)
-    total = sum(remaining)
-    word = []
-    for _ in range(total):
-        pick = rng.randrange(total)
-        for s, c in enumerate(remaining):
-            if pick < c:
-                word.append(s)
-                remaining[s] -= 1
-                break
-            pick -= c
-        total -= 1
-    return tuple(word)
+    return Permutation(_riffle_images(_multinomial_cut(n, k, None, rng), rng)).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +200,13 @@ def affine_c_shuffle_distribution(n: int, k: int) -> GroupAlgebraElement:
 
 def affine_c_shuffle_sample(n: int, k: int, rng: random.Random) -> SignedPermutation:
     """One draw from the flip-and-riffle model, via the supplied generator."""
-    sizes = [0] * k
-    for _ in range(n):
-        sizes[rng.randrange(k)] += 1
-    stacks = _stacks_for_cut(tuple(sizes), k % 2 == 0)
-    word = _weighted_interleaving(tuple(sizes), rng)
-    return SignedPermutation(_merge(stacks, word))
+    return SignedPermutation(affine_c_images(n, k, rng))
+
+
+def affine_c_images(n: int, k: int, rng: random.Random) -> tuple[int, ...]:
+    """The one-line images of one flip-and-riffle draw, not yet validated:
+    the draw ``affine_c_shuffle_sample`` makes, as a plain tuple."""
+    return _riffle_images(_multinomial_cut(n, k, k % 2 == 0, rng), rng)
 
 
 def two_shuffle_outcomes(n: int) -> list[SignedPermutation]:
@@ -247,10 +259,7 @@ def affine_a_2shuffle_sample(n: int, rng: random.Random) -> Permutation:
         if pick < weight:
             break
         pick -= weight
-    first, second = _affine_a_second_pile(n, j)
-    sizes = (len(first), len(second))
-    word = _weighted_interleaving(sizes, rng)
-    return Permutation(_merge([first, second], word))
+    return Permutation(_riffle_images(_affine_a_second_pile(n, j), rng))
 
 
 # ---------------------------------------------------------------------------

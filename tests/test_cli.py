@@ -107,6 +107,38 @@ def test_sample_models(capsys):
         assert len(out.strip().splitlines()) == 3
 
 
+# `sample ... --n 4 --count 20 --seed 5` (with --k 3 where the model takes
+# one), recorded before the samplers shared one draw kernel.
+PINNED_SAMPLES = {
+    "riffle": (
+        "1,3,2,4", "1,3,2,4", "2,4,1,3", "2,3,1,4", "1,2,3,4", "3,1,2,4", "2,1,3,4",
+        "1,4,2,3", "1,2,3,4", "1,4,3,2", "3,2,4,1", "1,2,3,4", "2,3,1,4", "1,4,2,3",
+        "1,4,2,3", "1,2,3,4", "1,2,3,4", "1,3,4,2", "1,4,3,2", "1,4,2,3",
+    ),
+    "affine-a": (
+        "4,1,2,3", "2,3,4,1", "3,4,1,2", "1,2,3,4", "2,3,4,1", "2,3,4,1", "2,3,4,1",
+        "2,3,4,1", "2,4,1,3", "4,2,1,3", "1,2,3,4", "4,1,2,3", "3,4,1,2", "2,4,1,3",
+        "1,2,3,4", "3,4,1,2", "2,4,1,3", "4,2,1,3", "1,2,3,4", "2,4,1,3",
+    ),
+    "affine-c": (
+        "-2,3,-1,4", "1,-4,2,-3", "-3,1,4,2", "3,1,2,4", "1,2,3,4", "2,3,1,4",
+        "-4,1,-3,-2", "-2,3,4,-1", "-4,-3,-2,-1", "1,4,-3,2", "4,-3,1,-2", "1,2,3,4",
+        "3,-2,-1,4", "1,-4,-3,2", "-2,3,4,-1", "1,2,3,4", "1,-2,3,4", "1,4,-3,-2",
+        "1,4,-3,2", "1,-4,-3,2",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_SAMPLES))
+def test_sample_stream_is_pinned(capsys, model):
+    piles = [] if model == "affine-a" else ["--k", "3"]
+    code, out = run(
+        capsys, "sample", "--model", model, "--n", "4", *piles, "--count", "20", "--seed", "5",
+    )
+    assert code == 0
+    assert tuple(out.split()) == PINNED_SAMPLES[model]
+
+
 def test_sample_count_zero_prints_nothing(tmp_path, capsys):
     # no draws is no lines, not one empty line a line reader would count
     code, out = run(capsys, "sample", "--model", "riffle", "--n", "3", "--seed", "1", "--count", "0")

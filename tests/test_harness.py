@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from affine_shuffles import fq
+from affine_shuffles import fq, shuffles
 from affine_shuffles.harness import (
     PROFILES,
     run_checks,
@@ -80,6 +80,40 @@ def test_limit_law_smoke():
 
 def test_sampler_check_small():
     assert verify_sampler(2, 2, 20000, 0.03, 123).passed
+
+
+@pytest.mark.parametrize("draws", [0, -1])
+def test_sampler_rejects_no_draws(draws):
+    with pytest.raises(ValueError, match="draws must be positive"):
+        verify_sampler(3, 2, draws, 0.02, 1)
+
+
+def _relabel_kernel_outcome(monkeypatch, source, target):
+    kernel = shuffles._riffle_images
+
+    def relabelled(stacks, rng):
+        images = kernel(stacks, rng)
+        return target if images == source else images
+
+    monkeypatch.setattr(shuffles, "_riffle_images", relabelled)
+
+
+def test_sampler_sanity_fails_when_an_outcome_is_misreported(monkeypatch):
+    # 1,2,3 reported as -1,2,3: one outcome of mass 1/8 reads 0, another 1/4.
+    _relabel_kernel_outcome(monkeypatch, (1, 2, 3), (-1, 2, 3))
+    report = verify_sampler(3, 2, 100_000, 0.02, 20260810)
+    assert report.status == "fail"
+    assert set(report.witness) == {"sup_norm"}
+    assert 0.1 < report.witness["sup_norm"] < 0.15
+
+
+def test_sampler_sanity_reports_an_invalid_outcome(monkeypatch):
+    _relabel_kernel_outcome(monkeypatch, (1, 2, 3), (1, 1, 2))
+    report = verify_sampler(3, 2, 100_000, 0.02, 20260810)
+    assert report.status == "fail"
+    assert report.witness["invalid_outcome"] == [1, 1, 2]
+    assert report.witness["draws"] == 12477
+    assert "not a signed permutation" in report.witness["issue"]
 
 
 def test_first_difference():

@@ -271,6 +271,38 @@ def test_signed_cycle_type_is_class_function(w_images, w_signs, g_images, g_sign
     assert cycle_type(w) == cycle_type(g * w * g.inverse())
 
 
+def _reference_cycles(w):
+    # The cycles of i -> |w(i)|, followed through w's action w(i).
+    seen, out = set(), []
+    for start in range(1, w.n + 1):
+        if start not in seen:
+            cyc = [start]
+            while abs(w(cyc[-1])) != start:
+                cyc.append(abs(w(cyc[-1])))
+            seen.update(cyc)
+            out.append(tuple(cyc))
+    return out
+
+
+def _reference_cycle_type(w):
+    lengths = {True: [], False: []}
+    for cyc in _reference_cycles(w):
+        lengths[sum(w(i) < 0 for i in cyc) % 2 == 0].append(len(cyc))
+    if isinstance(w, Permutation):
+        return CycleType(tuple(sorted(lengths[True], reverse=True)))
+    return SignedCycleType(*(tuple(sorted(lengths[sign], reverse=True)) for sign in (True, False)))
+
+
+@pytest.mark.parametrize("family, n", GROUPS)
+def test_cycles_and_cycle_type_match_the_action(family, n):
+    for w in _enumerate(family, n):
+        if family == "A":
+            assert w.cycles() == _reference_cycles(w)
+        else:
+            assert w.underlying().cycles() == _reference_cycles(w)
+        assert cycle_type(w) == _reference_cycle_type(w)
+
+
 def test_signed_cycle_type_sizes():
     for w in all_signed_permutations(3):
         assert cycle_type(w).size == 3

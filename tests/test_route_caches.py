@@ -129,8 +129,10 @@ def test_misplaced_index_element_breaks_the_measure(cold_route_caches, monkeypat
     # 1,3,4,2 (Cdes {0, 3}, x_3 = 1/27) filed under {0} (x_3 = 1/9): the
     # element's mass changes alone, so the total is no longer 1.
     _misplace(monkeypatch, {(1, 3, 4, 2): frozenset({0})})
-    with pytest.raises(ValueError, match="sum to 29/27"):
-        verify_dmp("A", 4, 3)
+    report = verify_dmp("A", 4, 3)
+    assert report.status == "fail"
+    assert report.witness["route"] == "x_k_generic"
+    assert "sum to 29/27" in report.witness["issue"]
 
 
 def test_swapped_index_elements_fail_dmp_with_class_witness(cold_route_caches, monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from affine_shuffles import shuffles
 from affine_shuffles.closed_forms import x_k_measure_type_a, x_k_measure_type_c
 from affine_shuffles.perm import (
     GroupKind,
@@ -14,6 +15,7 @@ from affine_shuffles.perm import (
     invert_element,
 )
 from affine_shuffles.shuffles import (
+    _affine_a_second_pile,
     affine_a_2shuffle_distribution,
     affine_a_2shuffle_sample,
     affine_c_shuffle_distribution,
@@ -150,6 +152,69 @@ def test_affine_a_sampler_close_to_exact():
     exact = affine_a_2shuffle_distribution(4)
     for w in exact.coeffs:
         assert abs(counts[w] / draws - float(exact.coefficient(w))) < 0.02
+
+
+# --- the draw kernel and the pinned random stream ------------------------------
+
+# Draws recorded before the samplers shared one kernel: every draw makes the
+# same rng.randrange calls, with the same arguments, in the same order, so a
+# change to the stream changes these.
+RIFFLE_5_3_SEED_2026 = (
+    "1,5,2,3,4", "1,2,4,3,5", "5,1,3,2,4", "2,5,1,3,4", "3,5,1,2,4", "3,2,4,5,1",
+    "2,4,5,1,3", "3,4,1,2,5", "4,5,2,1,3", "3,1,2,4,5", "3,4,5,1,2", "2,3,5,1,4",
+    "3,5,1,2,4", "1,2,4,5,3", "2,4,5,1,3", "2,3,1,4,5", "2,5,1,3,4", "3,4,1,2,5",
+    "1,4,5,2,3", "4,1,3,2,5",
+)
+AFFINE_C_5_4_SEED_2026 = (
+    "5,-4,3,-2,-1", "-4,-3,-5,-2,-1", "-4,1,5,-3,-2", "1,-4,-3,5,-2", "3,4,-2,5,-1",
+    "5,-2,3,4,-1", "4,2,5,3,-1", "3,1,-2,4,5", "4,5,-3,1,-2", "4,-3,-2,5,-1",
+    "-4,2,-3,-1,5", "-2,-1,5,3,4", "5,2,3,-1,-4", "5,-4,2,-1,3", "-3,4,5,-2,-1",
+    "-3,-1,4,5,-2", "4,1,5,2,-3", "4,-3,-2,-1,5", "1,5,2,3,4", "-4,5,1,-3,2",
+)
+AFFINE_A_5_SEED_2026 = (
+    "2,3,4,5,1", "4,3,5,1,2", "2,5,3,1,4", "5,2,3,1,4", "2,3,5,1,4", "4,5,3,1,2",
+    "4,3,5,1,2", "4,5,1,2,3", "4,3,5,1,2", "5,2,1,3,4", "5,2,3,1,4", "5,1,2,3,4",
+    "4,5,1,2,3", "2,5,1,3,4", "2,5,3,1,4", "2,5,3,4,1", "5,2,3,1,4", "5,2,3,4,1",
+    "5,2,3,4,1", "5,2,3,4,1",
+)
+
+
+@pytest.mark.parametrize("draw, expected", [
+    (lambda rng: riffle_sample(5, 3, rng), RIFFLE_5_3_SEED_2026),
+    (lambda rng: affine_c_shuffle_sample(5, 4, rng), AFFINE_C_5_4_SEED_2026),
+    (lambda rng: affine_a_2shuffle_sample(5, rng), AFFINE_A_5_SEED_2026),
+], ids=["riffle", "affine-c", "affine-a"])
+def test_sampler_stream_is_pinned(draw, expected):
+    rng = random.Random(2026)
+    assert tuple(draw(rng).to_text() for _ in range(20)) == expected
+
+
+def test_affine_c_images_are_the_sampler_draws():
+    rng1, rng2 = random.Random(8), random.Random(8)
+    for _ in range(200):
+        assert affine_c_shuffle_sample(4, 3, rng1).images == shuffles.affine_c_images(4, 3, rng2)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_kernel_draws_are_merges_of_the_stacks(n):
+    # Every tuple the kernel returns is a valid signed permutation, and one of
+    # the merges the exact side enumerates for the same stacks.
+    rng = random.Random(n)
+    cases = [_affine_a_second_pile(n, j) for j in range(n // 2 + 1)]
+    cases += [
+        shuffles._stacks_for_cut(sizes, flip)
+        for k in (1, 2, 3) for sizes in shuffles._compositions(n, k)
+        for flip in (None, True, False)
+    ]
+    for stacks in cases:
+        sizes = tuple(len(stack) for stack in stacks)
+        merges = {
+            shuffles._merge(stacks, word) for word in shuffles._multiset_permutations(sizes)
+        }
+        for _ in range(10):
+            images = shuffles._riffle_images(stacks, rng)
+            assert SignedPermutation(images).images == images
+            assert images in merges
 
 
 # --- total variation --------------------------------------------------------------
