@@ -189,12 +189,6 @@ def test_sampler_stream_is_pinned(draw, expected):
     assert tuple(draw(rng).to_text() for _ in range(20)) == expected
 
 
-def test_affine_c_images_are_the_sampler_draws():
-    rng1, rng2 = random.Random(8), random.Random(8)
-    for _ in range(200):
-        assert affine_c_shuffle_sample(4, 3, rng1).images == shuffles.affine_c_images(4, 3, rng2)
-
-
 @pytest.mark.parametrize("n", range(1, 6))
 def test_kernel_draws_are_merges_of_the_stacks(n):
     # Every tuple the kernel returns is a valid signed permutation, and one of
