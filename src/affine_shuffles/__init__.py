@@ -61,7 +61,6 @@ from .series import (
     TruncatedSeries,
     reiner_identity_check,
     rhs_type_c_product,
-    rhs_unimodal_product,
 )
 from .shuffles import (
     affine_a_2shuffle_distribution,

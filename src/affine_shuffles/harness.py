@@ -295,49 +295,40 @@ def verify_eta_worked_example() -> VerificationReport:
 
 def verify_type_c_product(n_max: int, q: int) -> VerificationReport:
     """Product-formula coefficients count palindromic polynomials by type."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be positive, got {n_max}")
     timer = CheckTimer()
     params = {"n_max": n_max, "q": q}
     rhs = series.rhs_type_c_product(q, n_max)
-    for n in range(1, n_max + 1):
-        got = rhs.u_slice(n)
-        expected: dict = {}
-        for t, mass in fq.sp_class_measure(n, q).masses.items():
-            mono = series.make_monomial(series.signed_type_monomial(t))
-            expected[mono] = mass * q**n
-        bad = first_difference(got, expected, key=repr)
-        if bad is not None:
-            return timer.report(
-                "type_c_product", params,
-                {"n": n, "monomial": dict(bad),
-                 "product": got.get(bad, Fraction(0)),
-                 "enumeration": expected.get(bad, Fraction(0))},
-            )
-    return timer.report("type_c_product", params, None)
+    witness = series.slice_witness(
+        n_max, rhs.u_slice,
+        lambda n: series.measure_slice(fq.sp_class_measure(n, q), q**n),
+        "enumeration",
+    )
+    return timer.report("type_c_product", params, witness)
 
 
 def verify_unimodal_product(n_max: int) -> VerificationReport:
-    """Cycle index product against direct unimodal enumeration."""
+    """Unimodal permutations by cycle type, read off the type C product at
+    q = 2 with each y_m set to x_m and each u^n slice halved, against direct
+    enumeration."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be positive, got {n_max}")
     timer = CheckTimer()
     params = {"n_max": n_max}
-    rhs = series.rhs_unimodal_product(n_max)
-    for n in range(1, n_max + 1):
-        got = {mono: coeff * 2 ** (n - 1) for mono, coeff in rhs.u_slice(n).items()}
-        expected: dict = {}
-        for w in unimodal.enumerate_unimodal(n):
-            exps: dict[str, int] = {}
-            for part in cycle_type(w).parts:
-                exps[f"x{part}"] = exps.get(f"x{part}", 0) + 1
-            mono = series.make_monomial(exps)
-            expected[mono] = expected.get(mono, Fraction(0)) + 1
-        bad = first_difference(got, expected, key=repr)
-        if bad is not None:
-            return timer.report(
-                "unimodal_product", params,
-                {"n": n, "monomial": dict(bad),
-                 "product": got.get(bad, Fraction(0)),
-                 "enumeration": expected.get(bad, Fraction(0))},
-            )
-    return timer.report("unimodal_product", params, None)
+    rhs = series.rhs_type_c_product(2, n_max)
+
+    def product(n: int) -> dict:
+        return {mono: coeff / 2 for mono, coeff in series.unsigned_slice(rhs, n).items()}
+
+    def enumeration(n: int) -> Counter:
+        return Counter(
+            series.make_monomial(Counter(f"x{part}" for part in cycle_type(w).parts))
+            for w in unimodal.enumerate_unimodal(n)
+        )
+
+    witness = series.slice_witness(n_max, product, enumeration, "enumeration")
+    return timer.report("unimodal_product", params, witness)
 
 
 def verify_reciprocity(n: int, q: int, brute: bool = False) -> VerificationReport:

@@ -170,7 +170,7 @@ class SignedPermutation:
 
     def underlying(self) -> Permutation:
         """The unsigned permutation i -> |w(i)|."""
-        return Permutation(tuple(abs(v) for v in self.images))
+        return _trusted(Permutation, tuple(abs(v) for v in self.images))
 
     @classmethod
     def identity(cls, n: int) -> "SignedPermutation":

@@ -4,23 +4,30 @@ Series are truncated on the total degree in the distinguished variable ``u``;
 other variables (x1, x2, ..., y1, y2, ...) ride along unbounded, which is
 safe because every product built here attaches them to positive powers of u.
 
-The module also builds the right-hand-side products of the class-measure
-generating function in type C, the unimodal cycle index by cycle length, and
-the descent/cycle-type identity on the hyperoctahedral group, for
-coefficientwise comparison with exhaustive enumeration.
+The module builds one product, the right-hand side of the type C
+class-measure generating function, and every generating-function check reads
+it, one u^n slice at a time (``slice_witness``):
+
+* against the palindromic polynomials of degree 2n over F_q, by type;
+* at q = 2 with each y_m set to x_m (``unsigned_slice``), which forgets the
+  signs of the cycle type: the slice then counts 2^n signed permutations and
+  halving it gives the 2^(n-1) unimodal permutations of S_n by cycle type,
+  since 2^(n-1)/2^n = 1/2.  This is the paper's route to Rogers' problem;
+* at odd q = 2k - 1 against the type C closed form of the affine
+  q-shuffle, which is Reiner's descent/cycle-type identity on C_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
+from .closed_forms import x_k_measure_type_c
 from .fq import count_self_conjugate_irreducibles
-from .numth import binomial, power
-from .perm import all_signed_permutations, cycle_type, type_c_stats
+from .numth import power
+from .perm import ClassMeasure
 from .report import CheckTimer, VerificationReport, first_difference
-from .unimodal import transitive_unimodal_count
 
 __all__ = [
     "TruncatedSeries",
@@ -28,8 +35,10 @@ __all__ = [
     "geometric_inverse",
     "geometric_power",
     "rhs_type_c_product",
-    "rhs_unimodal_product",
     "signed_type_monomial",
+    "measure_slice",
+    "unsigned_slice",
+    "slice_witness",
     "reiner_identity_check",
 ]
 
@@ -188,26 +197,6 @@ def rhs_type_c_product(q: int, truncation: int) -> TruncatedSeries:
     return result
 
 
-def rhs_unimodal_product(truncation: int) -> TruncatedSeries:
-    """Cycle index product for unimodal permutations, by cycle length.
-
-    prod_i ((2^i + x_i u^i)/(2^i - x_i u^i))^{T_i} where T_i is the number of
-    transitive unimodal permutations on i symbols.  The u^n coefficient of a
-    cycle-type monomial is (number of unimodal permutations of that type)
-    divided by 2^{n-1}.
-    """
-    N = truncation
-    result = TruncatedSeries.one(N)
-    for i in range(1, N + 1):
-        t_i = transitive_unimodal_count(i)
-        if t_i == 0:
-            continue
-        g = TruncatedSeries.term(Fraction(1, 2**i), {f"x{i}": 1, "u": i}, N)
-        factor = (TruncatedSeries.one(N) + g) * geometric_inverse(g)
-        result = result * factor**t_i
-    return result
-
-
 def signed_type_monomial(t) -> dict[str, int]:
     """Variable exponents x_i^{lam multiplicities} y_j^{mu multiplicities}."""
     exps: dict[str, int] = {}
@@ -218,39 +207,70 @@ def signed_type_monomial(t) -> dict[str, int]:
     return exps
 
 
+def measure_slice(measure: ClassMeasure, scale: int) -> dict[Monomial, Fraction]:
+    """A class measure over signed cycle types as a u-slice: each mass times
+    ``scale`` on the monomial of its type."""
+    return {
+        make_monomial(signed_type_monomial(t)): mass * scale
+        for t, mass in measure.masses.items()
+    }
+
+
+def unsigned_slice(product: TruncatedSeries, degree: int) -> dict[Monomial, Fraction]:
+    """The u^degree slice of ``product`` with each y_m set to x_m."""
+    out: dict[Monomial, Fraction] = {}
+    for mono, coeff in product.u_slice(degree).items():
+        exps: dict[str, int] = {}
+        for var, e in mono:
+            x = "x" + var[1:]
+            exps[x] = exps.get(x, 0) + e
+        key = make_monomial(exps)
+        out[key] = out.get(key, Fraction(0)) + coeff
+    return out
+
+
+def slice_witness(
+    n_max: int,
+    product: Callable[[int], Mapping[Monomial, Fraction]],
+    other: Callable[[int], Mapping[Monomial, Fraction]],
+    other_name: str,
+) -> dict | None:
+    """The first u^n slice, n = 1..n_max, where the product's coefficients
+    differ from the other side's, as a witness; None when every slice agrees."""
+    for n in range(1, n_max + 1):
+        got, want = product(n), other(n)
+        bad = first_difference(got, want, key=repr)
+        if bad is not None:
+            return {"n": n, "monomial": dict(bad),
+                    "product": got.get(bad, Fraction(0)),
+                    other_name: want.get(bad, Fraction(0))}
+    return None
+
+
 def reiner_identity_check(n_max: int, k_max: int) -> VerificationReport:
     """Descent/cycle-type identity on C_n against the type C product.
 
-    For each k, the coefficient of t^k of the left side is built exhaustively:
-    summing binom(n + k - d(w) - 1, n) over w in C_n attached to the monomial
-    u^n x^{lam(w)} y^{mu(w)} (the binomial weights come from expanding
-    1/(1-t)^{n+1} against t^{d(w)+1}).  The right side is the type C product
-    at q = 2k - 1, whose odd-q prefactor is exactly the extra 1/(1 - x_1 u)
-    factor the identity carries.
+    For each k, the u^n slice of the left side sums binom(n + k - d(w) - 1, n)
+    over w in C_n on the monomial x^{lam(w)} y^{mu(w)}.  That binomial is q^n
+    times the type C closed form of the affine q-shuffle at q = 2k - 1, so the
+    left side is that element's class measure times q^n.  The right side is
+    the type C product at the same q, whose odd-q prefactor is exactly the
+    extra 1/(1 - x_1 u) factor the identity carries.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be positive, got {n_max}")
+    if k_max < 1:
+        raise ValueError(f"k_max must be positive, got {k_max}")
     timer = CheckTimer()
     params = {"n_max": n_max, "k_max": k_max}
     for k in range(1, k_max + 1):
         q = 2 * k - 1
-        lhs = TruncatedSeries.one(n_max)  # u^0 term: binom(k-1, 0) = 1
-        for n in range(1, n_max + 1):
-            for w in all_signed_permutations(n):
-                weight = binomial(n + k - type_c_stats(w).d - 1, n)
-                if weight == 0:
-                    continue
-                exps = signed_type_monomial(cycle_type(w))
-                exps["u"] = n
-                lhs = lhs + TruncatedSeries.term(weight, exps, n_max)
         rhs = rhs_type_c_product(q, n_max)
-        bad = first_difference(lhs.terms, rhs.terms)
-        if bad is not None:
-            return timer.report(
-                "reiner_identity", params,
-                {
-                    "k": k,
-                    "monomial": dict(bad),
-                    "left": lhs.terms.get(bad, Fraction(0)),
-                    "right": rhs.terms.get(bad, Fraction(0)),
-                },
-            )
+        witness = slice_witness(
+            n_max, rhs.u_slice,
+            lambda n: measure_slice(x_k_measure_type_c(n, q).class_measure(), q**n),
+            "closed_form",
+        )
+        if witness is not None:
+            return timer.report("reiner_identity", params, {"k": k, **witness})
     return timer.report("reiner_identity", params, None)

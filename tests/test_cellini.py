@@ -1,19 +1,13 @@
 """Alcove lattice points, wall-set counts, and the generic shuffle element."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import affine_shuffles
 from affine_shuffles.cellini import (
     RootSystem,
     a_k_I,
     alcove_points,
-    cyclic_descent_roots,
     verify_cellini_properties,
     wall_set,
     x_k_generic,
@@ -158,31 +152,6 @@ def test_rank_zero_group():
     assert element.coeffs == {Permutation.identity(1): Fraction(1)}
 
 
-def test_cyclic_descent_roots_rejects_the_wrong_element_type():
-    with pytest.raises(TypeError, match="type A .* Permutation, got SignedPermutation"):
-        cyclic_descent_roots(RootSystem.type_a(3), SignedPermutation((1, -2, 3)))
-    with pytest.raises(TypeError, match="type C .* SignedPermutation, got Permutation"):
-        cyclic_descent_roots(RootSystem.type_c(3), perm("1,3,2"))
-
-
-def test_cyclic_descent_roots_type_check_survives_optimize():
-    # ``python -O`` strips assert statements; the type check must not be one.
-    code = (
-        "from affine_shuffles.cellini import RootSystem, cyclic_descent_roots\n"
-        "from affine_shuffles.perm import SignedPermutation\n"
-        "try:\n"
-        "    cyclic_descent_roots(RootSystem.type_a(3), SignedPermutation((1, -2, 3)))\n"
-        "except TypeError as exc:\n"
-        "    print('TypeError:', exc)\n"
-    )
-    src = str(Path(affine_shuffles.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert done.stdout.startswith("TypeError: type A"), done.stdout + done.stderr
-
-
 # --- the per-element alcove count -------------------------------------------------
 
 def test_lattice_examples():
@@ -212,8 +181,7 @@ def test_generic_agrees_with_type_c_closed_form():
 def test_verify_properties_a2():
     report = verify_cellini_properties(RootSystem.type_a(3), 3, 3)
     assert report.passed
-    assert "= 9 = k^r" in report.notes
-    assert "pair count = 9" in report.notes
+    assert report.notes == "sum_I a_kI|U_I| = 9 = k^r"
 
 
 def test_verify_properties_convolution_s3():

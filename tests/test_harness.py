@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from affine_shuffles import fq, shuffles
+from affine_shuffles import cellini, fq, series, shuffles
 from affine_shuffles.harness import (
+    CHECKS,
     PROFILES,
     run_checks,
     verify_all,
@@ -18,6 +19,8 @@ from affine_shuffles.harness import (
     verify_sampler,
     verify_shuffle_model_a,
     verify_shuffle_model_c,
+    verify_type_c_product,
+    verify_unimodal_product,
 )
 from affine_shuffles.perm import ClassMeasure, CycleType
 from affine_shuffles.report import VerificationReport, first_difference
@@ -63,6 +66,78 @@ def test_fault_injection_produces_witness(monkeypatch):
     payload = report.as_dict()
     json.dumps(payload)
     assert payload["status"] == "fail"
+
+
+def _extra_self_conjugate_quartic(monkeypatch):
+    # The product counts one self-conjugate irreducible of degree 4 too many;
+    # the polynomial enumeration, the unimodal enumeration and the closed
+    # forms do not read this count.
+    sound = series.count_self_conjugate_irreducibles
+    monkeypatch.setattr(
+        series, "count_self_conjugate_irreducibles",
+        lambda degree, q: sound(degree, q) + (degree == 4),
+    )
+
+
+def _lost_alcove_point(monkeypatch):
+    # Every dilated alcove loses its first lattice point.
+    sound = cellini._alcove_wall_sets
+    monkeypatch.setattr(cellini, "_alcove_wall_sets", lambda rs, k: sound(rs, k)[1:])
+
+
+FAULTS = {
+    "cellini_properties": (
+        _lost_alcove_point, ("A", 3, 2, 2),
+        {"identity": "sum_I a_kI |U_I| = k^r", "left": 1, "right": 4},
+    ),
+    "reiner_identity": (
+        _extra_self_conjugate_quartic, (2, 3),
+        {"k": 1, "n": 2, "monomial": {"x2": 1}, "product": 1, "closed_form": 0},
+    ),
+    "type_c_product": (
+        _extra_self_conjugate_quartic, (2, 2),
+        {"n": 2, "monomial": {"x2": 1}, "product": 2, "enumeration": 1},
+    ),
+    "unimodal_product": (
+        _extra_self_conjugate_quartic, (6,),
+        {"n": 2, "monomial": {"x2": 1}, "product": 2, "enumeration": 1},
+    ),
+}
+"""Per registered check: a fault that corrupts one of its inputs, a
+quick-profile argument tuple, and the witness of the report that must fail."""
+
+
+@pytest.fixture
+def cold_alcove_caches():
+    # Values cached before or under a patched ``_alcove_wall_sets`` would hide it.
+    caches = (cellini._alcove_wall_sets, cellini.x_k_generic, cellini._lattice_coefficient)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_injected_fault_fails_the_check(name, monkeypatch, cold_alcove_caches):
+    fault, args, witness = FAULTS[name]
+    function, cases = CHECKS[name]
+    assert args in cases["quick"]
+    fault(monkeypatch)
+    report = function(*args)
+    assert report.status == "fail"
+    assert report.witness == witness
+
+
+@pytest.mark.parametrize("check, args, message", [
+    (series.reiner_identity_check, (0, 3), "n_max must be positive, got 0"),
+    (series.reiner_identity_check, (2, 0), "k_max must be positive, got 0"),
+    (verify_type_c_product, (0, 3), "n_max must be positive, got 0"),
+    (verify_unimodal_product, (0,), "n_max must be positive, got 0"),
+])
+def test_product_checks_reject_empty_sizes(check, args, message):
+    with pytest.raises(ValueError, match=message):
+        check(*args)
 
 
 def test_report_invariants():
@@ -168,13 +243,13 @@ def test_verify_all_quick_passes():
         "shuffle_model_c",
         "unimodal_count",
     } <= covered
-    assert (len(reports), report_digest(reports)) == (138, "b236701b0c35ea56")
+    assert (len(reports), report_digest(reports)) == (138, "db74577e42059881")
 
 
 def test_verify_all_full_digest():
     reports = verify_all("full")
     assert all(r.passed for r in reports)
-    assert (len(reports), report_digest(reports)) == (973, "f38560fd9b7cdb5b")
+    assert (len(reports), report_digest(reports)) == (973, "1a6f36d7800e81c5")
 
 
 def report_digest(reports):

@@ -20,7 +20,6 @@ from affine_shuffles import cellini, closed_forms, numth, perm
 from affine_shuffles.cellini import (
     RootSystem,
     a_k_I,
-    cyclic_descent_roots,
     x_k_generic,
     x_k_type_a_lattice,
 )
@@ -56,8 +55,9 @@ def oracle(rs, k):
         for I in combinations(range(rs.rank + 1), size)
     }
     denom = k**rs.rank
+    stats = perm.type_a_stats if rs.family == "A" else perm.type_c_stats
     return lambda w: Fraction(
-        sum(c for I, c in counts.items() if not I & cyclic_descent_roots(rs, w)), denom
+        sum(c for I, c in counts.items() if not I & stats(w).cyclic_descents), denom
     )
 
 

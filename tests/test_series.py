@@ -14,8 +14,8 @@ from affine_shuffles.series import (
     make_monomial,
     reiner_identity_check,
     rhs_type_c_product,
-    rhs_unimodal_product,
     signed_type_monomial,
+    unsigned_slice,
 )
 
 
@@ -142,20 +142,24 @@ def test_rhs_type_c_total_is_q_to_n():
             assert sum(rhs.u_slice(n).values()) == q**n
 
 
-# --- the unimodal product ---------------------------------------------------------
+# --- unimodal permutations from the type C product at q = 2 ------------------------
 
 def test_rhs_unimodal_frozen_coefficients():
-    rhs = rhs_unimodal_product(3)
-    assert rhs.coefficient({"u": 3, "x3": 1}) == Fraction(1, 4)
-    assert rhs.coefficient({"u": 3, "x1": 3}) == Fraction(1, 4)
-    assert rhs.coefficient({"u": 3, "x1": 1, "x2": 1}) == Fraction(1, 2)
+    # unimodal permutations of S_3 by cycle type: 123 is (1,1,1), 132 and
+    # 321 are (2,1), 231 is (3)
+    unsigned = unsigned_slice(rhs_type_c_product(2, 3), 3)
+    assert {m: c / 2 for m, c in unsigned.items()} == {
+        make_monomial({"x3": 1}): 1,
+        make_monomial({"x1": 3}): 1,
+        make_monomial({"x1": 1, "x2": 1}): 2,
+    }
 
 
 def test_unimodal_product_reciprocal_identity():
-    # with every cycle variable set to 1 the product collapses to 1/(1-u)
-    rhs = rhs_unimodal_product(10)
-    for n in range(11):
-        assert sum(rhs.u_slice(n).values()) == 1
+    # with every cycle variable set to 1 the slice counts all 2^(n-1) unimodal permutations
+    rhs = rhs_type_c_product(2, 10)
+    for n in range(1, 11):
+        assert sum(unsigned_slice(rhs, n).values()) / 2 == 2 ** (n - 1)
 
 
 # --- the descent identity -----------------------------------------------------------
