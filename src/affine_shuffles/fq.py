@@ -5,24 +5,36 @@ first) are the coordinates in the power basis of the modulus.  Polynomials are
 coefficient tuples of such codes, low degree first, with trailing zeros
 stripped.  Everything is deterministic: the modulus of F_{p^e} is the
 lexicographically smallest monic irreducible of degree e (coefficients
-compared low-degree first as integers), factorization is by sieve and trial
+compared low-degree first as integers), the irreducibles are sieved by trial
 division, and all arithmetic is exact.  Polynomial division, the
-irreducibility test and factorization share one long-division kernel that
-works on coefficient codes through the field's operation tables.
+irreducibility test and ``factor`` share one long-division kernel that works
+on coefficient codes through the field's operation tables.
 
-Two enumerations push polynomial factorizations to conjugacy-class data:
+The class measures factor nothing.  By unique factorization each reducible
+polynomial is a product of irreducibles of lower degree in exactly one way,
+so one walk (``_block_walk``) builds every product of "blocks" of a given
+total degree once, multiplying codes one block at a time, and reads the
+factorization type off the blocks it used; the irreducibles of full degree
+are the polynomials it never reaches:
 
 * ``sl_class_measure``: monic degree-n polynomials with constant term 1,
   mapped to the partition of irreducible-factor degrees;
 * ``sp_class_measure``: monic degree-2n palindromic polynomials, mapped to a
   pair of partitions via the root-inversion involution (conjugate pairs feed
   the positive cycles, self-conjugate factors of even degree the negative
-  ones).
+  ones).  The self-conjugate irreducibles of degree 2j are the palindromes
+  of degree 2j that the walk does not reach, so they are found without
+  sieving degree 2j.
+
+Each walk checks that its products are distinct and of the right shape, and
+that what it leaves over matches the closed-form irreducible counts.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -33,7 +45,6 @@ __all__ = [
     "FieldContext",
     "FqPoly",
     "Factorization",
-    "PalindromeFoldingError",
     "make_field",
     "prime_power",
     "factor",
@@ -43,12 +54,7 @@ __all__ = [
     "count_self_conjugate_irreducibles",
     "sl_class_measure",
     "sp_class_measure",
-    "fold_palindromic_factorization",
 ]
-
-
-class PalindromeFoldingError(ValueError):
-    """A palindromic factorization violated the expected folding conventions."""
 
 
 def _is_prime(p: int) -> bool:
@@ -77,6 +83,7 @@ class FieldContext:
         self.q = p**e
         self.modulus = tuple(c % p for c in modulus[:-1]) + (1,)
         self._irreducibles: dict[int, tuple["FqPoly", ...]] = {}
+        self._self_conjugates: dict[int, tuple["FqPoly", ...]] = {}
         self._build_tables()
         if e > 1 and not is_irreducible(make_field(p, 1).poly(self.modulus)):
             raise ValueError(f"modulus {self.modulus} is reducible over F_{p}")
@@ -258,12 +265,7 @@ class FqPoly:
         F = self._common_field(other)
         if self.is_zero or other.is_zero:
             return FqPoly(F, ())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
-        return FqPoly(F, tuple(out))
+        return FqPoly(F, tuple(_times(F, self.coeffs, other.coeffs)))
 
     def __divmod__(self, other: "FqPoly") -> tuple["FqPoly", "FqPoly"]:
         F = self._common_field(other)
@@ -429,14 +431,6 @@ def _resolve_field(q: int, field: FieldContext | None) -> FieldContext:
     return make_field(p, e)
 
 
-def monic_constant_one(field: FieldContext, n: int) -> Iterator[FqPoly]:
-    """All q^{n-1} monic degree-n polynomials with constant term 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    for middle in itertools.product(range(field.q), repeat=n - 1):
-        yield field.poly((1,) + middle + (1,))
-
-
 def palindromic_polys(field: FieldContext, n: int) -> Iterator[FqPoly]:
     """All q^n monic degree-2n palindromic polynomials."""
     if n < 1:
@@ -445,79 +439,183 @@ def palindromic_polys(field: FieldContext, n: int) -> Iterator[FqPoly]:
         yield field.poly((1,) + half[: n - 1] + (half[n - 1],) + tuple(reversed(half[: n - 1])) + (1,))
 
 
+def _times(field: FieldContext, a, b) -> list[int]:
+    """Codes of the product of two nonzero polynomials given by their codes."""
+    mul, add = field._mul, field._add
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            row = mul[x]
+            for k, y in enumerate(b, i):
+                out[k] = add[out[k]][row[y]]
+    return out
+
+
+def _block_walk(field: FieldContext, blocks: list, target: int):
+    """Every multiset of blocks whose degrees sum to ``target``, once each.
+
+    ``blocks`` are coefficient codes of monic polynomials, sorted by degree.
+    A multiset is a nondecreasing sequence of block indices.  The walk yields
+    each of its proper prefixes once, as ``(product, chosen, lo, hi)``: the
+    product's codes, the prefix's indices (a list the walk goes on to mutate)
+    and the range of the blocks that can end it, those at index
+    ``chosen[-1]`` or later whose degree is ``target - deg(product)``.  The
+    product grows one block at a time, so a prefix shared by many multisets
+    is multiplied once.
+    """
+    degree = [len(b) - 1 for b in blocks]
+    chosen: list[int] = []
+
+    def walk(product, start, left):
+        lo = max(start, bisect.bisect_left(degree, left))
+        hi = bisect.bisect_right(degree, left, lo)
+        if lo < hi:
+            yield product, chosen, lo, hi
+        for i in range(start, len(blocks)):
+            if 2 * degree[i] > left:
+                break
+            chosen.append(i)
+            yield from walk(_times(field, product, blocks[i]), i, left - degree[i])
+            chosen.pop()
+
+    return walk((1,), 0, target)
+
+
+class _Products:
+    """Marks each product of a walk in a table of all candidates, so that a
+    repeat is caught without keeping the products.  The table index reads
+    coefficients 1..digits as base-q digits, coefficient 1 the most
+    significant, so index order is the order of ``all_monic`` and
+    ``palindromic_polys``."""
+
+    def __init__(self, field: FieldContext, degree: int, digits: int):
+        self.where = f"degree {degree} over F_{field.q}"
+        self.weights = [0] + [field.q ** (digits - i) for i in range(1, digits + 1)]
+        self.seen = bytearray(field.q**digits)
+
+    def mark(self, f: list[int]) -> None:
+        k = sum(map(operator.mul, self.weights, f))
+        if self.seen[k]:
+            raise ArithmeticError(f"{self.where}: product {f} repeats")
+        self.seen[k] = 1
+
+    def fail(self, message: str) -> None:
+        raise ArithmeticError(f"{self.where}: {message}")
+
+
 def sl_class_measure(n: int, q: int, field: FieldContext | None = None) -> ClassMeasure:
     """Factor-degree partition distribution of a uniform monic degree-n
-    polynomial with constant term 1 over F_q."""
+    polynomial with constant term 1 over F_q.
+
+    Each reducible such polynomial is a product of irreducibles of degree
+    below n, none of them z, and is built once by ``_block_walk``; the
+    irreducibles of degree n take the rest.  Every product on another nonzero
+    constant term is counted without being built, and the irreducibles left
+    over all nonzero constant terms must be Gauss's count.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
     field = _resolve_field(q, field)
+    blocks = [g.coeffs for d in range(1, n) for g in field.irreducibles(d) if g.coeffs[0]]
+    products = _Products(field, n, n - 1)
     counts: dict[CycleType, int] = {}
-    total = 0
-    for f in monic_constant_one(field, n):
-        parts: list[int] = []
-        for g, mult in factor(f).factors:
-            parts.extend([g.degree] * mult)
-        t = CycleType(tuple(sorted(parts, reverse=True)))
-        counts[t] = counts.get(t, 0) + 1
-        total += 1
-    if total != q ** (n - 1):
-        raise AssertionError(f"expected {q**(n-1)} polynomials, enumerated {total}")
-    return ClassMeasure.from_counts(counts, total)
+    leaves = 0
+    for product, chosen, lo, hi in _block_walk(field, blocks, n):
+        leaves += hi - lo
+        last = field._inv[product[0]]
+        taken = 0
+        for i in range(lo, hi):
+            if blocks[i][0] == last:
+                f = _times(field, product, blocks[i])
+                if f[0] != 1:
+                    products.fail(f"product {f} has constant term {f[0]}, not 1")
+                products.mark(f)
+                taken += 1
+        if taken:
+            # the last block has the largest degree: the one left to fill
+            last_degree = n - len(product) + 1
+            t = CycleType((last_degree,) + tuple(len(blocks[i]) - 1 for i in reversed(chosen)))
+            counts[t] = counts.get(t, 0) + taken
+    left, expected = (q - 1) * q ** (n - 1) - leaves, count_irreducibles(n, q) - (n == 1)
+    if left != expected:
+        products.fail(f"{left} polynomials with nonzero constant term are not products, "
+                      f"Gauss's count without z is {expected}")
+    counts[CycleType((n,))] = q ** (n - 1) - sum(counts.values())
+    return ClassMeasure.from_counts(counts, q ** (n - 1))
 
 
-def fold_palindromic_factorization(fact: Factorization) -> SignedCycleType:
-    """Fold the factorization of a palindromic polynomial into (lam, mu).
+def _signed_type(blocks: list, self_conjugate: list[bool], chosen: list[int]) -> SignedCycleType:
+    """Fold a multiset of palindromic blocks into (lam, mu).
 
-    A conjugate pair {phi, conj(phi)} of degree-i irreducibles with common
-    multiplicity m contributes m parts i to lam.  A self-conjugate irreducible
-    of even degree 2j with multiplicity m contributes m mod 2 parts j to mu
-    and floor(m/2) parts 2j to lam.  The self-conjugate linears z -/+ 1 must
-    occur with even multiplicity m and contribute m/2 parts 1 to lam.
+    A block of degree 2j taken m times gives m parts j to lam, unless it is a
+    self-conjugate irreducible: then it gives m mod 2 parts j to mu and
+    floor(m/2) parts 2j to lam.
     """
     lam: list[int] = []
     mu: list[int] = []
-    mults = {poly: mult for poly, mult in fact.factors}
-    seen: set[FqPoly] = set()
-    for poly, mult in fact.factors:
-        if poly in seen:
-            continue
-        conj = conjugate_poly(poly)
-        if conj == poly:
-            if poly.degree == 1:
-                if mult % 2:
-                    raise PalindromeFoldingError(
-                        f"self-conjugate linear {poly!r} has odd multiplicity {mult}"
-                    )
-                lam.extend([1] * (mult // 2))
-            elif poly.degree % 2 == 0:
-                mu.extend([poly.degree // 2] * (mult % 2))
-                lam.extend([poly.degree] * (mult // 2))
-            else:
-                raise PalindromeFoldingError(
-                    f"self-conjugate irreducible of odd degree > 1: {poly!r}"
-                )
-            seen.add(poly)
+    for i, run in itertools.groupby(chosen):
+        m = len(list(run))
+        j = (len(blocks[i]) - 1) // 2
+        if self_conjugate[i]:
+            mu.extend([j] * (m % 2))
+            lam.extend([2 * j] * (m // 2))
         else:
-            if mults.get(conj) != mult:
-                raise PalindromeFoldingError(
-                    f"conjugate multiplicities differ for {poly!r}"
-                )
-            lam.extend([poly.degree] * mult)
-            seen.add(poly)
-            seen.add(conj)
+            lam.extend([j] * m)
     return SignedCycleType(tuple(sorted(lam, reverse=True)), tuple(sorted(mu, reverse=True)))
+
+
+def _palindromic_types(field: FieldContext, n: int) -> dict[SignedCycleType, int]:
+    """Counts of the monic degree-2n palindromic polynomials by signed type.
+
+    The blocks are phi * conj(phi) for each conjugate pair of irreducibles of
+    degree at most n, the squares of the self-conjugate linears z -/+ 1, and
+    the self-conjugate irreducibles of even degree below 2n.  The palindromes
+    that are no product of blocks are the self-conjugate irreducibles of
+    degree 2n; they are cached on the field for the walks above this one.
+    """
+    blocks = [_times(field, (c, 1), (c, 1)) for c in sorted({1, field._neg[1]})]
+    self_conjugate = [False] * len(blocks)
+    for i in range(1, n + 1):
+        for g in field.irreducibles(i):
+            h = conjugate_poly(g).coeffs if g.coeffs[0] else ()
+            if h > g.coeffs:
+                blocks.append(_times(field, g.coeffs, h))
+                self_conjugate.append(False)
+        if i < n:
+            for g in _self_conjugates(field, 2 * i):
+                blocks.append(g.coeffs)
+                self_conjugate.append(True)
+    products = _Products(field, 2 * n, n)
+    counts: dict[SignedCycleType, int] = {}
+    for product, chosen, lo, hi in _block_walk(field, blocks, 2 * n):
+        for i in range(lo, hi):
+            f = _times(field, product, blocks[i])
+            if f != f[::-1]:
+                products.fail(f"product {f} is not palindromic")
+            products.mark(f)
+            t = _signed_type(blocks, self_conjugate, chosen + [i])
+            counts[t] = counts.get(t, 0) + 1
+    left = tuple(f for f, hit in zip(palindromic_polys(field, n), products.seen) if not hit)
+    expected = count_self_conjugate_irreducibles(2 * n, field.q)
+    if len(left) != expected:
+        products.fail(f"{len(left)} palindromes are not products, "
+                      f"the self-conjugate count is {expected}")
+    field._self_conjugates[2 * n] = left
+    counts[SignedCycleType((), (n,))] = len(left)
+    return counts
+
+
+def _self_conjugates(field: FieldContext, degree: int) -> tuple[FqPoly, ...]:
+    """The monic self-conjugate irreducibles of even degree, cached on the field."""
+    if degree not in field._self_conjugates:
+        _palindromic_types(field, degree // 2)
+    return field._self_conjugates[degree]
 
 
 def sp_class_measure(n: int, q: int, field: FieldContext | None = None) -> ClassMeasure:
     """Signed-cycle-type distribution of a uniform monic degree-2n palindromic
-    polynomial over F_q."""
+    polynomial over F_q, read off the products of ``_palindromic_types``."""
+    if n < 1:
+        raise ValueError("n must be positive")
     field = _resolve_field(q, field)
-    counts: dict[SignedCycleType, int] = {}
-    total = 0
-    for f in palindromic_polys(field, n):
-        t = fold_palindromic_factorization(factor(f))
-        if t.size != n:
-            raise AssertionError(f"folded type has size {t.size}, expected {n}")
-        counts[t] = counts.get(t, 0) + 1
-        total += 1
-    if total != q**n:
-        raise AssertionError(f"expected {q**n} palindromic polynomials, enumerated {total}")
-    return ClassMeasure.from_counts(counts, total)
+    return ClassMeasure.from_counts(_palindromic_types(field, n), q**n)

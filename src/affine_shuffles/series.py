@@ -180,7 +180,10 @@ def rhs_type_c_product(q: int, truncation: int) -> TruncatedSeries:
     monic irreducibles of degree 2m over F_q.
     The coefficient of u^n times the monomial of a signed cycle type counts
     the palindromic degree-2n polynomials with that factorization type.
+    Truncated at u^0 the product is the constant 1.
     """
+    if truncation < 1:
+        return TruncatedSeries.one(truncation)  # refuses a negative truncation
     e = 1 if q % 2 == 0 else 2
     N = truncation
     result = geometric_power(TruncatedSeries.term(1, {"x1": 1, "u": 1}, N), e - 1)

@@ -1,6 +1,8 @@
 """Finite fields, factorization, the conjugation involution, class measures."""
 
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,21 +13,18 @@ from affine_shuffles import fq
 from affine_shuffles.fq import (
     FieldContext,
     FqPoly,
-    PalindromeFoldingError,
     conjugate_poly,
     count_irreducibles,
     count_self_conjugate_irreducibles,
     factor,
-    fold_palindromic_factorization,
     is_irreducible,
     make_field,
-    monic_constant_one,
     palindromic_polys,
     prime_power,
     sl_class_measure,
     sp_class_measure,
 )
-from affine_shuffles.perm import CycleType, SignedCycleType
+from affine_shuffles.perm import ClassMeasure, CycleType, SignedCycleType
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -35,8 +34,10 @@ F5 = make_field(5, 1)
 # first Hypothesis example of the degree-10 property is not charged for it.
 for _degree in range(1, 6):
     F5.irreducibles(_degree)
+F7 = make_field(7, 1)
 F8 = make_field(2, 3)
 F9 = make_field(3, 2)
+F9_ALT = FieldContext(3, 2, (2, 1, 1))  # z^2 + z + 2, not make_field's z^2 + 1
 
 
 def poly(field, text):
@@ -327,6 +328,98 @@ def test_sp_measure_type_sizes():
                 assert t.size == n
 
 
+def test_measure_independent_of_modulus_choice():
+    # F_9 admits several irreducible quadratics; the counted types agree.
+    assert F9_ALT.modulus != F9.modulus
+    assert sl_class_measure(2, 9, field=F9_ALT) == sl_class_measure(2, 9, field=F9)
+    assert sp_class_measure(1, 9, field=F9_ALT) == sp_class_measure(1, 9, field=F9)
+
+
+def test_resolve_field_mismatch():
+    with pytest.raises(ValueError):
+        sl_class_measure(2, 4, field=F5)
+
+
+@pytest.mark.parametrize("measure", [sl_class_measure, sp_class_measure])
+@pytest.mark.parametrize("n", [0, -1])
+def test_class_measures_reject_nonpositive_n(measure, n):
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        measure(n, 3)
+
+
+# --- the trial-division route, kept as an oracle for the class measures ---------
+#
+# The class measures build each reducible polynomial once as a product of
+# irreducibles.  The route below factors every polynomial by trial division
+# instead and folds the factorization; it shares only ``factor``,
+# ``conjugate_poly`` and ``palindromic_polys`` with the library's measures.
+
+class PalindromeFoldingError(ValueError):
+    """A palindromic factorization violated the expected folding conventions."""
+
+
+def monic_constant_one(field, n):
+    """All q^{n-1} monic degree-n polynomials with constant term 1."""
+    for middle in itertools.product(range(field.q), repeat=n - 1):
+        yield field.poly((1,) + middle + (1,))
+
+
+def fold_palindromic_factorization(fact):
+    """Fold the factorization of a palindromic polynomial into (lam, mu).
+
+    A conjugate pair {phi, conj(phi)} of degree-i irreducibles with common
+    multiplicity m contributes m parts i to lam.  A self-conjugate irreducible
+    of even degree 2j with multiplicity m contributes m mod 2 parts j to mu
+    and floor(m/2) parts 2j to lam.  The self-conjugate linears z -/+ 1 must
+    occur with even multiplicity m and contribute m/2 parts 1 to lam.
+    """
+    lam, mu = [], []
+    mults = {poly: mult for poly, mult in fact.factors}
+    seen = set()
+    for poly, mult in fact.factors:
+        if poly in seen:
+            continue
+        conj = conjugate_poly(poly)
+        if conj == poly:
+            if poly.degree == 1:
+                if mult % 2:
+                    raise PalindromeFoldingError(
+                        f"self-conjugate linear {poly!r} has odd multiplicity {mult}"
+                    )
+                lam.extend([1] * (mult // 2))
+            elif poly.degree % 2 == 0:
+                mu.extend([poly.degree // 2] * (mult % 2))
+                lam.extend([poly.degree] * (mult // 2))
+            else:
+                raise PalindromeFoldingError(
+                    f"self-conjugate irreducible of odd degree > 1: {poly!r}"
+                )
+            seen.add(poly)
+        else:
+            if mults.get(conj) != mult:
+                raise PalindromeFoldingError(f"conjugate multiplicities differ for {poly!r}")
+            lam.extend([poly.degree] * mult)
+            seen.add(poly)
+            seen.add(conj)
+    return SignedCycleType(tuple(sorted(lam, reverse=True)), tuple(sorted(mu, reverse=True)))
+
+
+def trial_division_measure(kind, n, field):
+    polys = monic_constant_one(field, n) if kind == "sl" else palindromic_polys(field, n)
+    counts = {}
+    for f in polys:
+        fact = factor(f)
+        if kind == "sl":
+            t = CycleType(tuple(sorted((g.degree for g, m in fact.factors for _ in range(m)),
+                                       reverse=True)))
+        else:
+            t = fold_palindromic_factorization(fact)
+        counts[t] = counts.get(t, 0) + 1
+    total = sum(counts.values())
+    assert total == field.q ** (n - 1 if kind == "sl" else n)
+    return ClassMeasure.from_counts(counts, total)
+
+
 def test_folding_rejects_odd_linear_multiplicity():
     # (z+1)(z^2+z+1) over F_2 is invariant-adjacent but not a palindromic
     # pattern the folding accepts: the linear factor appears once.
@@ -335,14 +428,91 @@ def test_folding_rejects_odd_linear_multiplicity():
         fold_palindromic_factorization(factor(f))
 
 
-def test_measure_independent_of_modulus_choice():
-    # F_9 admits several irreducible quadratics; the counted types agree.
-    alternative = FieldContext(3, 2, (2, 1, 1))  # z^2 + z + 2
-    assert alternative.modulus != F9.modulus
-    assert sl_class_measure(2, 9, field=alternative) == sl_class_measure(2, 9, field=F9)
-    assert sp_class_measure(1, 9, field=alternative) == sp_class_measure(1, 9, field=F9)
+# Trial division costs 0.2-1.4 ms a polynomial, so the grid stops at 10,000
+# polynomials of type A and 1,000 of type C: sl(6, 7), sp(4, 7) and sp(4, 8)
+# alone would add 11 s.
+ORACLE_FIELDS = (F2, F3, F4, F5, F7, F8, F9)
+ORACLE_GRID = (
+    [("sl", n, field) for field in ORACLE_FIELDS for n in range(1, 7)
+     if field.q ** (n - 1) <= 10_000]
+    + [("sp", n, field) for field in ORACLE_FIELDS for n in range(1, 5) if field.q**n <= 1_000]
+    + [("sl", n, F9_ALT) for n in range(1, 5)]
+    + [("sp", n, F9_ALT) for n in range(1, 4)]
+)
 
 
-def test_resolve_field_mismatch():
-    with pytest.raises(ValueError):
-        sl_class_measure(2, 4, field=F5)
+@pytest.mark.parametrize(
+    "kind, n, field", ORACLE_GRID,
+    ids=[f"{kind}-{n}-{field.q}-{field.modulus}" for kind, n, field in ORACLE_GRID],
+)
+def test_class_measures_match_trial_division(kind, n, field):
+    measure = sl_class_measure if kind == "sl" else sp_class_measure
+    assert measure(n, field.q, field=field) == trial_division_measure(kind, n, field)
+
+
+# --- the walk's own checks -------------------------------------------------------
+
+@pytest.fixture
+def fresh_f5():
+    """F_5 with empty caches, so that a corrupted cache entry stays in the test."""
+    field = FieldContext(5, 1, (0, 1))
+    field._irreducibles.clear()
+    field._self_conjugates.clear()
+    yield field
+    field._irreducibles.clear()
+    field._self_conjugates.clear()
+
+
+def test_self_conjugates_are_the_palindromes_left_over():
+    for field in (F2, F3, F4, F5):
+        for degree in (2, 4, 6):
+            scanned = [g for g in field.irreducibles(degree)
+                       if g.constant_term() and conjugate_poly(g) == g]
+            assert list(fq._self_conjugates(field, degree)) == scanned, (field.q, degree)
+
+
+def test_type_a_walk_catches_a_dropped_block(fresh_f5):
+    # the 4 products of a linear block with the dropped quadratic go missing
+    fresh_f5._irreducibles[2] = fresh_f5.irreducibles(2)[1:]
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "degree 3 over F_5: 44 polynomials with nonzero constant term are not "
+            "products, Gauss's count without z is 40")):
+        sl_class_measure(3, 5, field=fresh_f5)
+
+
+def test_type_c_walk_catches_a_dropped_self_conjugate(fresh_f5):
+    fresh_f5._self_conjugates[2] = fq._self_conjugates(fresh_f5, 2)[1:]
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "degree 4 over F_5: 11 palindromes are not products, "
+            "the self-conjugate count is 6")):
+        sp_class_measure(2, 5, field=fresh_f5)
+
+
+def zero(field, c):
+    return 0
+
+
+def plus_one(field, c):
+    return field.add(c, 1)
+
+
+@pytest.mark.parametrize("measure, n, degree, index, wrong, message", [
+    (sl_class_measure, 3, 3, 1, zero, "degree 3 over F_5: product [1, 0, 2, 1] repeats"),
+    (sl_class_measure, 3, 3, 0, plus_one,
+     "degree 3 over F_5: product [2, 2, 2, 1] has constant term 2, not 1"),
+    (sp_class_measure, 2, 4, 1, plus_one,
+     "degree 4 over F_5: product [1, 2, 0, 0, 1] is not palindromic"),
+])
+def test_walk_catches_a_wrong_product_coefficient(fresh_f5, monkeypatch, measure, n, degree,
+                                                  index, wrong, message):
+    sound = fq._times
+
+    def faulty(field, a, b):
+        out = sound(field, a, b)
+        if len(out) == degree + 1:  # only the products of the full degree
+            out[index] = wrong(field, out[index])
+        return out
+
+    monkeypatch.setattr(fq, "_times", faulty)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        measure(n, 5, field=fresh_f5)

@@ -115,6 +115,13 @@ def test_type_c_exponents_are_counts():
     assert exponent(2, 2) == 1
 
 
+def test_rhs_type_c_at_truncation_zero_is_one():
+    for q in (2, 3, 4, 5):
+        assert rhs_type_c_product(q, 0) == TruncatedSeries.one(0)
+    with pytest.raises(ValueError, match="^truncation must be nonnegative$"):
+        rhs_type_c_product(2, -1)
+
+
 def test_rhs_type_c_frozen_coefficients():
     rhs2 = rhs_type_c_product(2, 2)
     assert rhs2.coefficient({"u": 1, "x1": 1}) == 1
