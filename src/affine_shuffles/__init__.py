@@ -58,9 +58,8 @@ from .fq import (
     sp_class_measure,
 )
 from .series import (
-    TruncatedSeries,
     reiner_identity_check,
-    rhs_type_c_product,
+    type_c_product_slice,
 )
 from .shuffles import (
     affine_a_2shuffle_distribution,

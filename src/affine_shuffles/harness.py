@@ -22,6 +22,7 @@ from typing import Callable, Iterable
 
 from . import cellini, closed_forms, fq, series, shuffles, unimodal
 from .perm import (
+    CycleType,
     SignedPermutation,
     cycle_type,
     descent_classes,
@@ -299,10 +300,9 @@ def verify_type_c_product(n_max: int, q: int) -> VerificationReport:
         raise ValueError(f"n_max must be positive, got {n_max}")
     timer = CheckTimer()
     params = {"n_max": n_max, "q": q}
-    rhs = series.rhs_type_c_product(q, n_max)
     witness = series.slice_witness(
-        n_max, rhs.u_slice,
-        lambda n: series.measure_slice(fq.sp_class_measure(n, q), q**n),
+        n_max, lambda n: series.type_c_product_slice(q, n),
+        lambda n: {t: mass * q**n for t, mass in fq.sp_class_measure(n, q).masses.items()},
         "enumeration",
     )
     return timer.report("type_c_product", params, witness)
@@ -310,22 +310,21 @@ def verify_type_c_product(n_max: int, q: int) -> VerificationReport:
 
 def verify_unimodal_product(n_max: int) -> VerificationReport:
     """Unimodal permutations by cycle type, read off the type C product at
-    q = 2 with each y_m set to x_m and each u^n slice halved, against direct
-    enumeration."""
+    q = 2 with each signed type folded into the cycle type of lam + mu and
+    each u^n slice halved, against direct enumeration."""
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     timer = CheckTimer()
     params = {"n_max": n_max}
-    rhs = series.rhs_type_c_product(2, n_max)
 
     def product(n: int) -> dict:
-        return {mono: coeff / 2 for mono, coeff in series.unsigned_slice(rhs, n).items()}
+        unsigned: Counter = Counter()
+        for t, coeff in series.type_c_product_slice(2, n).items():
+            unsigned[CycleType(tuple(sorted(t.lam + t.mu, reverse=True)))] += coeff
+        return {t: Fraction(coeff, 2) for t, coeff in unsigned.items()}
 
     def enumeration(n: int) -> Counter:
-        return Counter(
-            series.make_monomial(Counter(f"x{part}" for part in cycle_type(w).parts))
-            for w in unimodal.enumerate_unimodal(n)
-        )
+        return Counter(cycle_type(w) for w in unimodal.enumerate_unimodal(n))
 
     witness = series.slice_witness(n_max, product, enumeration, "enumeration")
     return timer.report("unimodal_product", params, witness)

@@ -1,241 +1,89 @@
-"""Sparse multivariate formal power series over exact rationals.
+"""The type C class-measure generating function, one u^n slice at a time.
 
-Series are truncated on the total degree in the distinguished variable ``u``;
-other variables (x1, x2, ..., y1, y2, ...) ride along unbounded, which is
-safe because every product built here attaches them to positive powers of u.
+The paper's type C analysis rests on one Euler product,
 
-The module builds one product, the right-hand side of the type C
-class-measure generating function, and every generating-function check reads
-it, one u^n slice at a time (``slice_witness``):
+    (1/(1 - x_1 u))^{e-1} * prod_m ((1 + y_m u^m)/(1 - x_m u^m))^{b_m},
+
+with e = 1 for even q, e = 2 for odd q, and b_m the number of
+self-conjugate monic irreducibles of degree 2m over F_q.  Its u^n
+coefficient on x^lam y^mu, for a signed cycle type (lam, mu) of size n, is
+a product of binomials over the part lengths m,
+
+    prod_m C(b'_m + a_m - 1, a_m) * C(b_m, c_m),
+
+where a_m and c_m count the parts equal to m in lam and in mu, and
+b'_1 = b_1 + e - 1, b'_m = b_m for m > 1: a multiset of a_m factors from
+the geometric side and a set of c_m from the numerator.
+``type_c_product_slice`` returns these coefficients by signed cycle type,
+and every generating-function check compares them with another route
+(``slice_witness``):
 
 * against the palindromic polynomials of degree 2n over F_q, by type;
-* at q = 2 with each y_m set to x_m (``unsigned_slice``), which forgets the
-  signs of the cycle type: the slice then counts 2^n signed permutations and
-  halving it gives the 2^(n-1) unimodal permutations of S_n by cycle type,
-  since 2^(n-1)/2^n = 1/2.  This is the paper's route to Rogers' problem;
+* at q = 2 with each signed type folded into the cycle type of lam + mu,
+  which forgets the signs: the slice then counts 2^n signed permutations
+  and halving it gives the 2^(n-1) unimodal permutations of S_n by cycle
+  type, since 2^(n-1)/2^n = 1/2.  This is the paper's route to Rogers'
+  problem;
 * at odd q = 2k - 1 against the type C closed form of the affine
   q-shuffle, which is Reiner's descent/cycle-type identity on C_n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from math import comb
 from typing import Callable, Mapping
 
 from .closed_forms import x_k_measure_type_c
 from .fq import count_self_conjugate_irreducibles
-from .numth import power
-from .perm import ClassMeasure
+from .perm import SignedCycleType
 from .report import CheckTimer, VerificationReport, first_difference
 
 __all__ = [
-    "TruncatedSeries",
-    "make_monomial",
-    "geometric_inverse",
-    "geometric_power",
-    "rhs_type_c_product",
-    "signed_type_monomial",
-    "measure_slice",
-    "unsigned_slice",
+    "type_c_product_slice",
     "slice_witness",
     "reiner_identity_check",
 ]
 
-Monomial = tuple[tuple[str, int], ...]
 
+def type_c_product_slice(q: int, n: int) -> dict[SignedCycleType, int]:
+    """The u^n coefficients of the type C product by signed cycle type,
+    zero coefficients left out.
 
-def make_monomial(exps: Mapping[str, int]) -> Monomial:
-    """Canonical sorted-tuple form of a variable-exponent mapping."""
-    return tuple(sorted((v, e) for v, e in exps.items() if e != 0))
-
-
-def _u_degree(mono: Monomial) -> int:
-    for var, exp in mono:
-        if var == "u":
-            return exp
-    return 0
-
-
-def _merge(a: Monomial, b: Monomial) -> Monomial:
-    exps: dict[str, int] = dict(a)
-    for var, e in b:
-        exps[var] = exps.get(var, 0) + e
-    return make_monomial(exps)
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Formal power series truncated at a fixed total u-degree."""
-
-    truncation: int
-    terms: Mapping[Monomial, Fraction]
-
-    def __post_init__(self) -> None:
-        if self.truncation < 0:
-            raise ValueError("truncation must be nonnegative")
-        cleaned = {}
-        for mono, coeff in self.terms.items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if _u_degree(mono) > self.truncation:
-                raise ValueError(f"term {mono} exceeds u-truncation {self.truncation}")
-            cleaned[mono] = coeff
-        object.__setattr__(self, "terms", cleaned)
-
-    @classmethod
-    def constant(cls, value, truncation: int) -> "TruncatedSeries":
-        return cls(truncation, {(): Fraction(value)})
-
-    @classmethod
-    def one(cls, truncation: int) -> "TruncatedSeries":
-        return cls.constant(1, truncation)
-
-    @classmethod
-    def term(cls, coeff, exps: Mapping[str, int], truncation: int) -> "TruncatedSeries":
-        return cls(truncation, {make_monomial(exps): Fraction(coeff)})
-
-    def coefficient(self, exps: Mapping[str, int]) -> Fraction:
-        return self.terms.get(make_monomial(exps), Fraction(0))
-
-    def _check_compatible(self, other: "TruncatedSeries") -> None:
-        if self.truncation != other.truncation:
-            raise ValueError(
-                f"truncation mismatch: {self.truncation} vs {other.truncation}"
-            )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return TruncatedSeries(self.truncation, out)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.truncation, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        out: dict[Monomial, Fraction] = {}
-        bound = self.truncation
-        for m1, c1 in self.terms.items():
-            d1 = _u_degree(m1)
-            for m2, c2 in other.terms.items():
-                if d1 + _u_degree(m2) > bound:
-                    continue
-                m = _merge(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return TruncatedSeries(self.truncation, out)
-
-    def __pow__(self, exponent: int) -> "TruncatedSeries":
-        return power(self, exponent, TruncatedSeries.one(self.truncation))
-
-    def min_u_degree(self) -> int | None:
-        if not self.terms:
-            return None
-        return min(_u_degree(m) for m in self.terms)
-
-    def u_slice(self, degree: int) -> dict[Monomial, Fraction]:
-        """All terms of exact u-degree ``degree``, keyed by the residual monomial."""
-        out = {}
-        for mono, coeff in self.terms.items():
-            if _u_degree(mono) == degree:
-                residual = tuple((v, e) for v, e in mono if v != "u")
-                out[residual] = coeff
-        return out
-
-
-def geometric_inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """Exact expansion of 1/(1 - s) for s with no u-constant terms."""
-    mind = s.min_u_degree()
-    if s.terms and (mind is None or mind < 1):
-        raise ValueError("geometric expansion needs every term to carry u")
-    result = TruncatedSeries.one(s.truncation)
-    power = TruncatedSeries.one(s.truncation)
-    if not s.terms:
-        return result
-    steps = s.truncation // mind
-    for _ in range(steps):
-        power = power * s
-        result = result + power
-    return result
-
-
-def geometric_power(base: TruncatedSeries, exponent: int) -> TruncatedSeries:
-    """(1/(1 - base))^exponent for integer exponent >= 0."""
-    if exponent < 0:
-        raise ValueError("exponent must be a nonnegative integer")
-    return geometric_inverse(base) ** exponent
-
-
-def rhs_type_c_product(q: int, truncation: int) -> TruncatedSeries:
-    """Right-hand side of the type C class-measure generating function.
-
-    (1/(1-x_1 u))^{e-1} * prod_m ((1 + y_m u^m)/(1 - x_m u^m))^{b_m}
-    with e = 1 for even q, 2 for odd q, and b_m the number of self-conjugate
-    monic irreducibles of degree 2m over F_q.
-    The coefficient of u^n times the monomial of a signed cycle type counts
-    the palindromic degree-2n polynomials with that factorization type.
-    Truncated at u^0 the product is the constant 1.
+    For a prime power q, coefficient / q^n is the mass of the type in
+    ``sp_class_measure(n, q)``.  At n = 0 the slice is the constant term 1
+    on the empty type.
     """
-    if truncation < 1:
-        return TruncatedSeries.one(truncation)  # refuses a negative truncation
-    e = 1 if q % 2 == 0 else 2
-    N = truncation
-    result = geometric_power(TruncatedSeries.term(1, {"x1": 1, "u": 1}, N), e - 1)
-    for m in range(1, N + 1):
-        b = count_self_conjugate_irreducibles(2 * m, q)
-        if b == 0:
-            continue
-        numer = (
-            TruncatedSeries.one(N)
-            + TruncatedSeries.term(1, {f"y{m}": 1, "u": m}, N)
-        ) ** b
-        denom = geometric_power(TruncatedSeries.term(1, {f"x{m}": 1, "u": m}, N), b)
-        result = result * numer * denom
-    return result
-
-
-def signed_type_monomial(t) -> dict[str, int]:
-    """Variable exponents x_i^{lam multiplicities} y_j^{mu multiplicities}."""
-    exps: dict[str, int] = {}
-    for part in t.lam:
-        exps[f"x{part}"] = exps.get(f"x{part}", 0) + 1
-    for part in t.mu:
-        exps[f"y{part}"] = exps.get(f"y{part}", 0) + 1
-    return exps
-
-
-def measure_slice(measure: ClassMeasure, scale: int) -> dict[Monomial, Fraction]:
-    """A class measure over signed cycle types as a u-slice: each mass times
-    ``scale`` on the monomial of its type."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if q < 1:
+        raise ValueError(f"q must be positive, got {q}")
+    negative = [0] + [count_self_conjugate_irreducibles(2 * m, q) for m in range(1, n + 1)]
+    positive = list(negative)
+    if n and q % 2:
+        positive[1] += 1
+    # Types whose parts are all at least m, built from the largest part down.
+    partial = {((), ()): 1}
+    for m in range(n, 0, -1):
+        grown = {}
+        for (lam, mu), coeff in partial.items():
+            rest = n - sum(lam) - sum(mu)
+            for a in range(rest // m + 1):
+                lam_coeff = coeff * (comb(positive[m] + a - 1, a) if a else 1)
+                for c in range((rest - m * a) // m + 1):
+                    term = lam_coeff * comb(negative[m], c)
+                    if term:
+                        grown[lam + (m,) * a, mu + (m,) * c] = term
+        partial = grown
     return {
-        make_monomial(signed_type_monomial(t)): mass * scale
-        for t, mass in measure.masses.items()
+        SignedCycleType(lam, mu): coeff
+        for (lam, mu), coeff in partial.items() if sum(lam) + sum(mu) == n
     }
-
-
-def unsigned_slice(product: TruncatedSeries, degree: int) -> dict[Monomial, Fraction]:
-    """The u^degree slice of ``product`` with each y_m set to x_m."""
-    out: dict[Monomial, Fraction] = {}
-    for mono, coeff in product.u_slice(degree).items():
-        exps: dict[str, int] = {}
-        for var, e in mono:
-            x = "x" + var[1:]
-            exps[x] = exps.get(x, 0) + e
-        key = make_monomial(exps)
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return out
 
 
 def slice_witness(
     n_max: int,
-    product: Callable[[int], Mapping[Monomial, Fraction]],
-    other: Callable[[int], Mapping[Monomial, Fraction]],
+    product: Callable[[int], Mapping],
+    other: Callable[[int], Mapping],
     other_name: str,
 ) -> dict | None:
     """The first u^n slice, n = 1..n_max, where the product's coefficients
@@ -244,9 +92,8 @@ def slice_witness(
         got, want = product(n), other(n)
         bad = first_difference(got, want, key=repr)
         if bad is not None:
-            return {"n": n, "monomial": dict(bad),
-                    "product": got.get(bad, Fraction(0)),
-                    other_name: want.get(bad, Fraction(0))}
+            return {"n": n, "class": repr(bad),
+                    "product": got.get(bad, 0), other_name: want.get(bad, 0)}
     return None
 
 
@@ -268,10 +115,10 @@ def reiner_identity_check(n_max: int, k_max: int) -> VerificationReport:
     params = {"n_max": n_max, "k_max": k_max}
     for k in range(1, k_max + 1):
         q = 2 * k - 1
-        rhs = rhs_type_c_product(q, n_max)
         witness = slice_witness(
-            n_max, rhs.u_slice,
-            lambda n: measure_slice(x_k_measure_type_c(n, q).class_measure(), q**n),
+            n_max, lambda n: type_c_product_slice(q, n),
+            lambda n: {t: mass * q**n for t, mass in
+                       x_k_measure_type_c(n, q).class_measure().masses.items()},
             "closed_form",
         )
         if witness is not None:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from affine_shuffles import cellini, fq, series, shuffles
+from affine_shuffles import cellini, fq, harness, series, shuffles, unimodal
 from affine_shuffles.harness import (
     CHECKS,
     PROFILES,
@@ -22,7 +22,7 @@ from affine_shuffles.harness import (
     verify_type_c_product,
     verify_unimodal_product,
 )
-from affine_shuffles.perm import ClassMeasure, CycleType
+from affine_shuffles.perm import ClassMeasure, CycleType, HistogramPair
 from affine_shuffles.report import VerificationReport, first_difference
 
 
@@ -85,22 +85,52 @@ def _lost_alcove_point(monkeypatch):
     monkeypatch.setattr(cellini, "_alcove_wall_sets", lambda rs, k: sound(rs, k)[1:])
 
 
+def _one_extra_cyclic_descent_count(monkeypatch):
+    # The hyperoctahedral histogram counts one element with 2 cyclic
+    # descents too many.
+    sound = harness.descent_histograms
+
+    def faulty(n):
+        A, N = sound(n)
+        return HistogramPair(A, N[:1] + (N[1] + 1,) + N[2:])
+
+    monkeypatch.setattr(harness, "descent_histograms", faulty)
+
+
+def _extra_unimodal_3_cycle(monkeypatch):
+    # The closed form counts one unimodal 3-cycle too many.
+    sound = unimodal.transitive_unimodal_count
+    monkeypatch.setattr(
+        unimodal, "transitive_unimodal_count", lambda n: sound(n) + (n == 3),
+    )
+
+
 FAULTS = {
     "cellini_properties": (
         _lost_alcove_point, ("A", 3, 2, 2),
         {"identity": "sum_I a_kI |U_I| = k^r", "left": 1, "right": 4},
     ),
+    "histogram_identity": (
+        _one_extra_cyclic_descent_count, (3,),
+        {"r": 1, "N_{r+1}": 33, "2^n A_r": 32},
+    ),
     "reiner_identity": (
         _extra_self_conjugate_quartic, (2, 3),
-        {"k": 1, "n": 2, "monomial": {"x2": 1}, "product": 1, "closed_form": 0},
+        {"k": 1, "n": 2, "class": "SignedCycleType(lam=(), mu=(2,))",
+         "product": 1, "closed_form": 0},
+    ),
+    "transitive_unimodal": (
+        _extra_unimodal_3_cycle, (10,),
+        {"n": 3, "brute": 1, "closed_form": 2},
     ),
     "type_c_product": (
         _extra_self_conjugate_quartic, (2, 2),
-        {"n": 2, "monomial": {"x2": 1}, "product": 2, "enumeration": 1},
+        {"n": 2, "class": "SignedCycleType(lam=(), mu=(2,))",
+         "product": 2, "enumeration": 1},
     ),
     "unimodal_product": (
         _extra_self_conjugate_quartic, (6,),
-        {"n": 2, "monomial": {"x2": 1}, "product": 2, "enumeration": 1},
+        {"n": 2, "class": "CycleType(2,)", "product": 2, "enumeration": 1},
     ),
 }
 """Per registered check: a fault that corrupts one of its inputs, a
