@@ -5,8 +5,9 @@ first) are the coordinates in the power basis of the modulus.  Polynomials are
 coefficient tuples of such codes, low degree first, with trailing zeros
 stripped.  Everything is deterministic: the modulus of F_{p^e} is the
 lexicographically smallest monic irreducible of degree e (coefficients
-compared low-degree first as integers), the irreducibles are sieved by trial
-division, and all arithmetic is exact.  Polynomial division, the
+compared low-degree first as integers), the irreducibles of each degree are
+sieved by marking every product of irreducibles of lower degree with the
+walk below, and all arithmetic is exact.  Polynomial division, the
 irreducibility test and ``factor`` share one long-division kernel that works
 on coefficient codes through the field's operation tables.
 
@@ -154,16 +155,32 @@ class FieldContext:
             yield self.poly(lower + (1,))
 
     def irreducibles(self, degree: int) -> tuple["FqPoly", ...]:
-        """All monic irreducibles of the given degree, sieved and cached."""
+        """All monic irreducibles of the given degree, in ``all_monic`` order,
+        cached.  They are sieved the way Eratosthenes sieves primes: every
+        product of irreducibles of lower degree is marked once, and the
+        polynomials left unmarked are the irreducibles."""
         if degree < 1:
             raise ValueError("degree must be >= 1")
         if degree not in self._irreducibles:
-            found = tuple(filter(is_irreducible, self.all_monic(degree)))
+            blocks = [g.coeffs for d in range(1, degree) for g in self.irreducibles(d)]
+            products = _Products(self, degree, degree, first=0)
+            for product, _, lo, hi in _block_walk(self, blocks, degree):
+                for i in range(lo, hi):
+                    products.mark(_times(self, product, blocks[i]))
+            found = []
+            k = products.seen.find(0)
+            while k >= 0:
+                coeffs, rest = [1], k  # decode k's base-q digits, least significant first
+                for _ in range(degree):
+                    rest, c = divmod(rest, self.q)
+                    coeffs.append(c)
+                found.append(self.poly(reversed(coeffs)))
+                k = products.seen.find(0, k + 1)
             expected = count_irreducibles(degree, self.q)
             if len(found) != expected:
                 raise ArithmeticError(f"degree {degree} over F_{self.q}: sieve found "
                                       f"{len(found)} irreducibles, Gauss's count is {expected}")
-            self._irreducibles[degree] = found
+            self._irreducibles[degree] = tuple(found)
         return self._irreducibles[degree]
 
     def __eq__(self, other: object) -> bool:
@@ -191,13 +208,7 @@ def make_field(p: int, e: int) -> FieldContext:
     key = (p, e)
     if key in _FIELD_CACHE:
         return _FIELD_CACHE[key]
-    if e == 1:
-        modulus = (0, 1)
-    else:
-        prime_field = make_field(p, 1)
-        modulus = next(
-            f.coeffs for f in prime_field.all_monic(e) if is_irreducible(f)
-        )
+    modulus = (0, 1) if e == 1 else make_field(p, 1).irreducibles(e)[0].coeffs
     field = FieldContext(p, e, modulus)
     _FIELD_CACHE[key] = field
     return field
@@ -484,13 +495,13 @@ def _block_walk(field: FieldContext, blocks: list, target: int):
 class _Products:
     """Marks each product of a walk in a table of all candidates, so that a
     repeat is caught without keeping the products.  The table index reads
-    coefficients 1..digits as base-q digits, coefficient 1 the most
-    significant, so index order is the order of ``all_monic`` and
-    ``palindromic_polys``."""
+    the ``digits`` coefficients from ``first`` on as base-q digits,
+    coefficient ``first`` the most significant, so index order is the order
+    of ``all_monic`` (from 0) and of ``palindromic_polys`` (from 1)."""
 
-    def __init__(self, field: FieldContext, degree: int, digits: int):
+    def __init__(self, field: FieldContext, degree: int, digits: int, first: int = 1):
         self.where = f"degree {degree} over F_{field.q}"
-        self.weights = [0] + [field.q ** (digits - i) for i in range(1, digits + 1)]
+        self.weights = [0] * first + [field.q ** (digits - 1 - i) for i in range(digits)]
         self.seen = bytearray(field.q**digits)
 
     def mark(self, f: list[int]) -> None:

@@ -30,10 +30,6 @@ F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 F5 = make_field(5, 1)
-# Factoring up to degree 10 sieves F_5 up to degree 5; do it once here so the
-# first Hypothesis example of the degree-10 property is not charged for it.
-for _degree in range(1, 6):
-    F5.irreducibles(_degree)
 F7 = make_field(7, 1)
 F8 = make_field(2, 3)
 F9 = make_field(3, 2)
@@ -207,12 +203,72 @@ def test_factor_matches_sympy_for_prime_q():
             ) == sorted((g.coeffs, m) for g, m in factor(f).factors), f
 
 
-def test_sieve_guard_rejects_a_wrong_count(monkeypatch):
+# --- the sieve ---------------------------------------------------------------------
+#
+# ``FieldContext.irreducibles`` marks every product of irreducibles of lower
+# degree with the class measures' walk; the class measures and ``factor`` then
+# read its output, so the oracles below reach the irreducibles another way.
+
+def test_sieve_guard_rejects_a_wrong_count():
     field = FieldContext(7, 1, (0, 1))  # fresh: the cached make_field(7, 1) may be sieved
-    sound = fq.is_irreducible
-    monkeypatch.setattr(fq, "is_irreducible", lambda f: sound(f) and f.coeffs != (3, 1))
-    with pytest.raises(ArithmeticError, match=r"degree 1 over F_7: sieve found 6 .* count is 7"):
-        field.irreducibles(1)
+    # without z + 3 the 6 * 7 / 2 products of the other linears leave 28 quadratics
+    field._irreducibles[1] = tuple(g for g in field.irreducibles(1) if g.coeffs != (3, 1))
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "degree 2 over F_7: sieve found 28 irreducibles, Gauss's count is 21")):
+        field.irreducibles(2)
+
+
+def test_sieve_guard_rejects_a_repeated_product():
+    field = FieldContext(7, 1, (0, 1))
+    # z^2 passed off as irreducible: z * z^2 and z * z * z are both z^3
+    field._irreducibles[2] = (field.poly((0, 0, 1)),) + field.irreducibles(2)[1:]
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "degree 3 over F_7: product [0, 0, 0, 1] repeats")):
+        field.irreducibles(3)
+
+
+def test_sieve_does_not_test_irreducibility(monkeypatch):
+    def refuse(f):
+        raise AssertionError(f"the sieve called is_irreducible({f!r})")
+
+    monkeypatch.setattr(fq, "is_irreducible", refuse)
+    field = FieldContext(3, 1, (0, 1))
+    for degree in range(1, 7):
+        assert len(field.irreducibles(degree)) == count_irreducibles(degree, 3)
+
+
+def scanned_irreducibles(field, degree):
+    """Monic irreducibles of the degree by dividing each candidate by every
+    monic polynomial of degree 1..degree // 2; reads no cache."""
+    divisors = [g for d in range(1, degree // 2 + 1) for g in field.all_monic(d)]
+    return tuple(f for f in field.all_monic(degree)
+                 if all(divmod(f, g)[1].coeffs for g in divisors))
+
+
+SCAN_GRID = ((F2, 10), (F3, 6), (F4, 5), (F5, 4), (F7, 3), (F8, 3), (F9, 3), (F9_ALT, 3))
+
+
+@pytest.mark.parametrize("field, top", SCAN_GRID,
+                         ids=[f"{field.q}-{field.modulus}" for field, _ in SCAN_GRID])
+def test_sieve_matches_division_by_every_monic(field, top):
+    for degree in range(1, top + 1):
+        assert field.irreducibles(degree) == scanned_irreducibles(field, degree), degree
+
+
+def test_sieve_matches_sympy():
+    # Asking sympy about every candidate takes about 20 s.  Gauss's count of
+    # distinct polynomials, each irreducible by sympy, pins the output as well,
+    # and the order is that of ``all_monic``: coefficients compared low first.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for field, top in ((F2, 14), (F3, 8)):
+        for degree in range(1, top + 1):
+            found = field.irreducibles(degree)
+            assert len(found) == count_irreducibles(degree, field.q)
+            keys = [g.coeffs for g in found]
+            assert keys == sorted(set(keys)), (field.q, degree)
+            for g in found:
+                assert sympy.Poly(list(reversed(g.coeffs)), x, modulus=field.p).is_irreducible, g
 
 
 def test_irreducible_counts_match_scans():
@@ -351,8 +407,10 @@ def test_class_measures_reject_nonpositive_n(measure, n):
 #
 # The class measures build each reducible polynomial once as a product of
 # irreducibles.  The route below factors every polynomial by trial division
-# instead and folds the factorization; it shares only ``factor``,
-# ``conjugate_poly`` and ``palindromic_polys`` with the library's measures.
+# instead and folds the factorization; it shares ``factor``, ``conjugate_poly``
+# and ``palindromic_polys`` with the library's measures, and through
+# ``factor`` the sieved irreducibles, which the measures read too.  The sieve
+# is pinned by its own oracles above.
 
 class PalindromeFoldingError(ValueError):
     """A palindromic factorization violated the expected folding conventions."""
