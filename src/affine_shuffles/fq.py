@@ -21,9 +21,12 @@ are the polynomials it never reaches:
 * ``sl_class_measure``: monic degree-n polynomials with constant term 1,
   mapped to the partition of irreducible-factor degrees;
 * ``sp_class_measure``: monic degree-2n palindromic polynomials, mapped to a
-  pair of partitions via the root-inversion involution (conjugate pairs feed
-  the positive cycles, self-conjugate factors of even degree the negative
-  ones).  The self-conjugate irreducibles of degree 2j are the palindromes
+  pair of partitions via the root-inversion involution.  The blocks are the
+  factors of the type C product: each repeatable one of degree 2m (a
+  conjugate pair's product, (z -/+ 1)^2 or the square of a self-conjugate
+  irreducible) gives a part m to the positive cycles, each self-conjugate
+  irreducible of degree 2m, used at most once, a part m to the negative
+  ones.  The self-conjugate irreducibles of degree 2j are the palindromes
   of degree 2j that the walk does not reach, so they are found without
   sieving degree 2j.
 
@@ -167,15 +170,7 @@ class FieldContext:
             for product, _, lo, hi in _block_walk(self, blocks, degree):
                 for i in range(lo, hi):
                     products.mark(_times(self, product, blocks[i]))
-            found = []
-            k = products.seen.find(0)
-            while k >= 0:
-                coeffs, rest = [1], k  # decode k's base-q digits, least significant first
-                for _ in range(degree):
-                    rest, c = divmod(rest, self.q)
-                    coeffs.append(c)
-                found.append(self.poly(reversed(coeffs)))
-                k = products.seen.find(0, k + 1)
+            found = [self.poly(d + (1,)) for d in products.unmarked()]
             expected = count_irreducibles(degree, self.q)
             if len(found) != expected:
                 raise ArithmeticError(f"degree {degree} over F_{self.q}: sieve found "
@@ -442,14 +437,6 @@ def _resolve_field(q: int, field: FieldContext | None) -> FieldContext:
     return make_field(p, e)
 
 
-def palindromic_polys(field: FieldContext, n: int) -> Iterator[FqPoly]:
-    """All q^n monic degree-2n palindromic polynomials."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    for half in itertools.product(range(field.q), repeat=n):
-        yield field.poly((1,) + half[: n - 1] + (half[n - 1],) + tuple(reversed(half[: n - 1])) + (1,))
-
-
 def _times(field: FieldContext, a, b) -> list[int]:
     """Codes of the product of two nonzero polynomials given by their codes."""
     mul, add = field._mul, field._add
@@ -462,17 +449,18 @@ def _times(field: FieldContext, a, b) -> list[int]:
     return out
 
 
-def _block_walk(field: FieldContext, blocks: list, target: int):
-    """Every multiset of blocks whose degrees sum to ``target``, once each.
+def _block_walk(field: FieldContext, blocks: list, target: int, single=frozenset()):
+    """Every multiset of blocks whose degrees sum to ``target``, once each,
+    in which the blocks whose indices are in ``single`` occur at most once.
 
     ``blocks`` are coefficient codes of monic polynomials, sorted by degree.
-    A multiset is a nondecreasing sequence of block indices.  The walk yields
-    each of its proper prefixes once, as ``(product, chosen, lo, hi)``: the
-    product's codes, the prefix's indices (a list the walk goes on to mutate)
-    and the range of the blocks that can end it, those at index
-    ``chosen[-1]`` or later whose degree is ``target - deg(product)``.  The
-    product grows one block at a time, so a prefix shared by many multisets
-    is multiplied once.
+    A multiset is a nondecreasing sequence of block indices, increasing after
+    each index in ``single``.  The walk yields each of its proper prefixes
+    once, as ``(product, chosen, lo, hi)``: the product's codes, the prefix's
+    indices (a list the walk goes on to mutate) and the range of the blocks
+    that can end it, those that may follow ``chosen[-1]`` and whose degree is
+    ``target - deg(product)``.  The product grows one block at a time, so a
+    prefix shared by many multisets is multiplied once.
     """
     degree = [len(b) - 1 for b in blocks]
     chosen: list[int] = []
@@ -486,7 +474,8 @@ def _block_walk(field: FieldContext, blocks: list, target: int):
             if 2 * degree[i] > left:
                 break
             chosen.append(i)
-            yield from walk(_times(field, product, blocks[i]), i, left - degree[i])
+            yield from walk(_times(field, product, blocks[i]), i + (i in single),
+                            left - degree[i])
             chosen.pop()
 
     return walk((1,), 0, target)
@@ -497,10 +486,12 @@ class _Products:
     repeat is caught without keeping the products.  The table index reads
     the ``digits`` coefficients from ``first`` on as base-q digits,
     coefficient ``first`` the most significant, so index order is the order
-    of ``all_monic`` (from 0) and of ``palindromic_polys`` (from 1)."""
+    of ``all_monic`` (from 0), and of the palindromes by their coefficients
+    1..n (from 1)."""
 
     def __init__(self, field: FieldContext, degree: int, digits: int, first: int = 1):
         self.where = f"degree {degree} over F_{field.q}"
+        self.q = field.q
         self.weights = [0] * first + [field.q ** (digits - 1 - i) for i in range(digits)]
         self.seen = bytearray(field.q**digits)
 
@@ -509,6 +500,13 @@ class _Products:
         if self.seen[k]:
             raise ArithmeticError(f"{self.where}: product {f} repeats")
         self.seen[k] = 1
+
+    def unmarked(self) -> Iterator[tuple[int, ...]]:
+        """The digits of each index left unmarked, most significant first."""
+        k = self.seen.find(0)
+        while k >= 0:
+            yield tuple(k // w % self.q for w in self.weights if w)
+            k = self.seen.find(0, k + 1)
 
     def fail(self, message: str) -> None:
         raise ArithmeticError(f"{self.where}: {message}")
@@ -555,65 +553,58 @@ def sl_class_measure(n: int, q: int, field: FieldContext | None = None) -> Class
     return ClassMeasure.from_counts(counts, q ** (n - 1))
 
 
-def _signed_type(blocks: list, self_conjugate: list[bool], chosen: list[int]) -> SignedCycleType:
-    """Fold a multiset of palindromic blocks into (lam, mu).
-
-    A block of degree 2j taken m times gives m parts j to lam, unless it is a
-    self-conjugate irreducible: then it gives m mod 2 parts j to mu and
-    floor(m/2) parts 2j to lam.
-    """
-    lam: list[int] = []
-    mu: list[int] = []
-    for i, run in itertools.groupby(chosen):
-        m = len(list(run))
-        j = (len(blocks[i]) - 1) // 2
-        if self_conjugate[i]:
-            mu.extend([j] * (m % 2))
-            lam.extend([2 * j] * (m // 2))
-        else:
-            lam.extend([j] * m)
-    return SignedCycleType(tuple(sorted(lam, reverse=True)), tuple(sorted(mu, reverse=True)))
-
-
 def _palindromic_types(field: FieldContext, n: int) -> dict[SignedCycleType, int]:
     """Counts of the monic degree-2n palindromic polynomials by signed type.
 
-    The blocks are phi * conj(phi) for each conjugate pair of irreducibles of
-    degree at most n, the squares of the self-conjugate linears z -/+ 1, and
-    the self-conjugate irreducibles of even degree below 2n.  The palindromes
-    that are no product of blocks are the self-conjugate irreducibles of
-    degree 2n; they are cached on the field for the walks above this one.
+    The blocks are the factors of the type C product, sorted by degree.  A
+    repeatable block of degree 2m gives a part m to lam: (z -/+ 1)^2,
+    phi * conj(phi) for each conjugate pair of irreducibles of degree m <= n,
+    and g^2 for each self-conjugate irreducible g of degree m <= n.  A block
+    used at most once gives m to mu: the self-conjugate irreducibles of
+    degree 2m < 2n.  As g^k = g^(k mod 2) (g^2)^(k // 2), each palindrome is
+    one product of blocks.  The palindromes that are no product of blocks are
+    the self-conjugate irreducibles of degree 2n; they are cached on the
+    field for the walks above this one.
     """
     blocks = [_times(field, (c, 1), (c, 1)) for c in sorted({1, field._neg[1]})]
-    self_conjugate = [False] * len(blocks)
-    for i in range(1, n + 1):
-        for g in field.irreducibles(i):
+    single: set[int] = set()
+    for m in range(1, n + 1):
+        for g in field.irreducibles(m):
             h = conjugate_poly(g).coeffs if g.coeffs[0] else ()
             if h > g.coeffs:
                 blocks.append(_times(field, g.coeffs, h))
-                self_conjugate.append(False)
-        if i < n:
-            for g in _self_conjugates(field, 2 * i):
+        if m % 2 == 0:
+            blocks.extend(_times(field, g.coeffs, g.coeffs) for g in _self_conjugates(field, m))
+        if m < n:
+            for g in _self_conjugates(field, 2 * m):
+                single.add(len(blocks))
                 blocks.append(g.coeffs)
-                self_conjugate.append(True)
     products = _Products(field, 2 * n, n)
-    counts: dict[SignedCycleType, int] = {}
-    for product, chosen, lo, hi in _block_walk(field, blocks, 2 * n):
+    counts: dict[tuple, int] = {}  # (lam, mu) -> palindromes
+    for product, chosen, lo, hi in _block_walk(field, blocks, 2 * n, single):
+        ends_in_mu = 0
         for i in range(lo, hi):
             f = _times(field, product, blocks[i])
             if f != f[::-1]:
                 products.fail(f"product {f} is not palindromic")
             products.mark(f)
-            t = _signed_type(blocks, self_conjugate, chosen + [i])
-            counts[t] = counts.get(t, 0) + 1
-    left = tuple(f for f, hit in zip(palindromic_polys(field, n), products.seen) if not hit)
+            ends_in_mu += i in single
+        # the last block has the largest degree: the one left to fill
+        part = (2 * n + 1 - len(product)) // 2
+        lam = tuple(len(blocks[i]) // 2 for i in reversed(chosen) if i not in single)
+        mu = tuple(len(blocks[i]) // 2 for i in reversed(chosen) if i in single)
+        for key, taken in ((((part,) + lam, mu), hi - lo - ends_in_mu),
+                           ((lam, (part,) + mu), ends_in_mu)):
+            if taken:
+                counts[key] = counts.get(key, 0) + taken
+    left = tuple(field.poly((1,) + d + d[-2::-1] + (1,)) for d in products.unmarked())
     expected = count_self_conjugate_irreducibles(2 * n, field.q)
     if len(left) != expected:
         products.fail(f"{len(left)} palindromes are not products, "
                       f"the self-conjugate count is {expected}")
     field._self_conjugates[2 * n] = left
-    counts[SignedCycleType((), (n,))] = len(left)
-    return counts
+    counts[(), (n,)] = len(left)
+    return {SignedCycleType(*key): c for key, c in counts.items()}
 
 
 def _self_conjugates(field: FieldContext, degree: int) -> tuple[FqPoly, ...]:

@@ -19,7 +19,6 @@ from affine_shuffles.fq import (
     factor,
     is_irreducible,
     make_field,
-    palindromic_polys,
     prime_power,
     sl_class_measure,
     sp_class_measure,
@@ -407,9 +406,9 @@ def test_class_measures_reject_nonpositive_n(measure, n):
 #
 # The class measures build each reducible polynomial once as a product of
 # irreducibles.  The route below factors every polynomial by trial division
-# instead and folds the factorization; it shares ``factor``, ``conjugate_poly``
-# and ``palindromic_polys`` with the library's measures, and through
-# ``factor`` the sieved irreducibles, which the measures read too.  The sieve
+# instead and folds the factorization; it shares ``factor`` and
+# ``conjugate_poly`` with the library's measures, and through ``factor`` the
+# sieved irreducibles, which the measures read too.  The sieve
 # is pinned by its own oracles above.
 
 class PalindromeFoldingError(ValueError):
@@ -420,6 +419,12 @@ def monic_constant_one(field, n):
     """All q^{n-1} monic degree-n polynomials with constant term 1."""
     for middle in itertools.product(range(field.q), repeat=n - 1):
         yield field.poly((1,) + middle + (1,))
+
+
+def palindromic_polys(field, n):
+    """All q^n monic degree-2n palindromic polynomials."""
+    for half in itertools.product(range(field.q), repeat=n):
+        yield field.poly((1,) + half[: n - 1] + (half[n - 1],) + tuple(reversed(half[: n - 1])) + (1,))
 
 
 def fold_palindromic_factorization(fact):
@@ -558,6 +563,9 @@ def plus_one(field, c):
     (sl_class_measure, 3, 3, 1, zero, "degree 3 over F_5: product [1, 0, 2, 1] repeats"),
     (sl_class_measure, 3, 3, 0, plus_one,
      "degree 3 over F_5: product [2, 2, 2, 1] has constant term 2, not 1"),
+    # The type C blocks of degree 4 are products too, built before the walk:
+    # the conjugate-pair products, then the squares g^2.  The first leaf is
+    # z^4 + 1 = (z^2 + 2)(z^2 + 3), corrupted as a block and again as a leaf.
     (sp_class_measure, 2, 4, 1, plus_one,
      "degree 4 over F_5: product [1, 2, 0, 0, 1] is not palindromic"),
 ])
@@ -567,7 +575,7 @@ def test_walk_catches_a_wrong_product_coefficient(fresh_f5, monkeypatch, measure
 
     def faulty(field, a, b):
         out = sound(field, a, b)
-        if len(out) == degree + 1:  # only the products of the full degree
+        if len(out) == degree + 1:  # every product of the full degree
             out[index] = wrong(field, out[index])
         return out
 

@@ -22,7 +22,7 @@ from affine_shuffles.harness import (
     verify_type_c_product,
     verify_unimodal_product,
 )
-from affine_shuffles.perm import ClassMeasure, CycleType, HistogramPair
+from affine_shuffles.perm import ClassMeasure, CycleType, HistogramPair, SignedCycleType
 from affine_shuffles.report import VerificationReport, first_difference
 
 
@@ -105,14 +105,46 @@ def _extra_unimodal_3_cycle(monkeypatch):
     )
 
 
+def _moved_signed_mass(source, target, mass):
+    # The type C polynomial side reads ``mass`` of the signed type ``source``
+    # as ``target``.
+    def fault(monkeypatch):
+        sound = fq.sp_class_measure
+
+        def faulty(n, q):
+            masses = dict(sound(n, q).masses)
+            masses[source] -= mass
+            masses[target] = masses.get(target, 0) + mass
+            return ClassMeasure(masses)
+
+        monkeypatch.setattr(fq, "sp_class_measure", faulty)
+
+    return fault
+
+
 FAULTS = {
     "cellini_properties": (
         _lost_alcove_point, ("A", 3, 2, 2),
         {"identity": "sum_I a_kI |U_I| = k^r", "left": 1, "right": 4},
     ),
+    "dmp": (
+        # as if the square (z^2 + 1)^2 over F_3 gave a part 2 to mu, not to lam
+        _moved_signed_mass(SignedCycleType((2,), ()), SignedCycleType((), (2,)),
+                           Fraction(1, 9)),
+        ("C", 2, 3),
+        {"class": "SignedCycleType(lam=(), mu=(2,))",
+         "polynomial_side": Fraction(1, 3), "shuffle_side": Fraction(2, 9)},
+    ),
     "histogram_identity": (
         _one_extra_cyclic_descent_count, (3,),
         {"r": 1, "N_{r+1}": 33, "2^n A_r": 32},
+    ),
+    "limit_law": (
+        # 1/16 of the mass moves from no positive fixed point to one
+        _moved_signed_mass(SignedCycleType((), (8,)), SignedCycleType((1,), (7,)),
+                           Fraction(1, 16)),
+        (8, 2, 0.05),
+        {"sup_norm": 0.0625},
     ),
     "reiner_identity": (
         _extra_self_conjugate_quartic, (2, 3),
