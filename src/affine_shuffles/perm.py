@@ -17,17 +17,22 @@ histograms, and sparse group-algebra arithmetic over exact rationals.
 Every affine shuffle element x_k reads w only through its cyclic descent set
 Cdes(w) (Cellini: the coefficient of w is (1/k^r) times the number of alcove
 points whose wall set avoids Cdes(w)), so x_k is constant on the classes of
-equal Cdes.  ``descent_classes`` enumerates a group once and keeps, per
-class, its Cdes, its first element and its members packed as signed bytes;
-computing a route's value once on the first element and copying it to every
-member is exact.  S_8 has 254 classes for 40,320 elements, C_6 126 for
-46,080.  The index is an ``lru_cache``: a test that monkeypatches it, or the
-descent statistics it reads, must ``cache_clear()`` it first.
+equal Cdes.  ``descent_classes`` enumerates a group once into one byte buffer
+of rank codes, keys every element by comparing the buffer with itself shifted
+by one byte, and keeps, per class, its Cdes, its first element and its
+members packed as signed bytes; computing a route's value once on the first
+element and copying it to every member is exact.  S_8 has 254 classes for
+40,320 elements, C_6 126 for 46,080.  The index reads no descent statistic,
+so ``type_a_stats`` and ``type_c_stats``, which the routes read, are
+independent of it; ``descent_histograms`` folds the class sizes of both
+indexes.  The index is an ``lru_cache``: a test that monkeypatches it, or its
+key step ``_cdes_keys``, must ``cache_clear()`` it first.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -314,8 +319,11 @@ class DescentClass(NamedTuple):
     """The elements of one group with one cyclic descent set.
 
     ``packed`` holds every member's images, n signed bytes each (so
-    n <= 127), in enumeration order; ``first`` is the first of them.  Members are unpacked
-    on demand, so the index holds no element object beyond ``first``.
+    n <= 127), in enumeration order; ``first`` is the first of them.  It is
+    the members' slices of the group's one enumeration buffer, joined, with
+    the rank codes of negative images mapped back to signed bytes.  Members
+    are unpacked on demand, so the index holds no element object beyond
+    ``first``.
     """
 
     cdes: frozenset[int]
@@ -333,34 +341,81 @@ class DescentClass(NamedTuple):
                 for images in struct.iter_unpack(f"{self.first.n}b", self.packed)]
 
 
+def _cdes_keys(family: str, n: int, flat: bytes) -> bytes:
+    """n key bytes per element of ``flat``, which holds each element's rank
+    codes (the images, with -v coded as 2n + 1 - v), n bytes per element.
+
+    Byte i - 1 of a key, for i < n, is 1 where the element has a descent at
+    position i: rank codes order 1 < ... < n < -n < ... < -1 as integers.
+    Byte n - 1 holds the marker 0 in its bit 0 and, in type C, the descent at
+    n in its bit 1: [w(n) > w(1)] in type A, 2 [w(n) < 0] + [w(1) > 0] in
+    type C.  Two elements share a key exactly when they share their Cdes.
+    """
+    keys = bytearray(map(operator.gt, flat, flat[1:] + b"\0"))
+    firsts, lasts = flat[::n], flat[n - 1::n]
+    if family == "A":
+        keys[n - 1::n] = bytes(map(operator.gt, lasts, firsts))
+    else:
+        negative = bytes(2 * (c > n) for c in range(256))
+        positive = bytes(c <= n for c in range(256))
+        keys[n - 1::n] = bytes(map(operator.add, lasts.translate(negative),
+                                   firsts.translate(positive)))
+    return bytes(keys)
+
+
+def _decode_cdes(key: bytes) -> frozenset[int]:
+    # Built in the order the descent statistics build theirs (descents, then
+    # 0), so that equal sets also iterate alike.
+    desc = [i for i in range(1, len(key)) if key[i - 1]]
+    if key[-1] & 2:
+        desc.append(len(key))
+    descents = frozenset(desc)
+    return descents | _AFFINE if key[-1] & 1 else descents
+
+
 @lru_cache(maxsize=16)
 def descent_classes(family: str, n: int) -> tuple[DescentClass, ...]:
     """S_n (family "A") or C_n (family "C") split by cyclic descent set.
 
     Classes come in the order their first elements are enumerated, so
     scanning the classes' first elements meets the classes in the same order
-    as scanning the whole group.  Keys are ``type_a_stats(w).cyclic_descents``
-    or ``type_c_stats(w).cyclic_descents``.
+    as scanning the whole group; members keep enumeration order.  The group
+    is enumerated once, in the order of ``all_permutations`` or
+    ``all_signed_permutations``, into one buffer of rank codes, n bytes per
+    element, and ``_cdes_keys`` keys every element at once.  One loop files
+    each element's bytes under its key; each class then maps its rank codes
+    to signed bytes in one ``bytes.translate`` and decodes its Cdes and its
+    first element once.  The keys equal ``type_a_stats(w).cyclic_descents``
+    or ``type_c_stats(w).cyclic_descents``, which the index does not call.
     """
     _check_family(family)
     _check_size(n)
+    if n > 127:
+        raise ValueError(f"the class index packs images as signed bytes, so n <= 127; got n={n}")
+    perms = itertools.permutations(range(1, n + 1))
     if family == "A":
-        elements, stats = all_permutations(n), type_a_stats
+        flat = bytes(itertools.chain.from_iterable(perms))
     else:
-        elements, stats = all_signed_permutations(n), type_c_stats
-    pack = struct.Struct(f"{n}b").pack
-    firsts: dict[frozenset[int], GroupElement] = {}
-    packed: dict[frozenset[int], bytearray] = {}
-    for w in elements:
-        cdes = stats(w).cyclic_descents
-        images = packed.get(cdes)
+        flat = bytes(itertools.chain.from_iterable(itertools.chain.from_iterable(
+            itertools.product(*((v, 2 * n + 1 - v) for v in images)) for images in perms
+        )))
+    keys = _cdes_keys(family, n, flat)
+    groups: dict[bytes, bytearray] = {}
+    for start in range(0, len(flat), n):
+        key = keys[start:start + n]
+        images = groups.get(key)
         if images is None:
-            firsts[cdes] = w
-            images = packed[cdes] = bytearray()
-        images += pack(*w.images)
-    return tuple(
-        DescentClass(cdes, firsts[cdes], bytes(images)) for cdes, images in packed.items()
-    )
+            images = groups[key] = bytearray()
+        images += flat[start:start + n]
+    # rank code c > n stands for -(2n + 1 - c), a signed byte
+    signed = bytes(c if c <= n else (c - 2 * n - 1) % 256 for c in range(256))
+    cls = Permutation if family == "A" else SignedPermutation
+    unpack_first = struct.Struct(f"{n}b").unpack_from
+    out = []
+    for key, images in groups.items():
+        packed = bytes(images).translate(signed)
+        out.append(DescentClass(_decode_cdes(key), _trusted(cls, unpack_first(packed)), packed))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +481,22 @@ class HistogramPair(NamedTuple):
 
 @lru_cache(maxsize=16)
 def descent_histograms(n: int) -> HistogramPair:
-    """Descent histograms at size n, both computed by full enumeration.
+    """Descent histograms at size n, folded from the class indexes.
 
     A[r] counts w in S_n with r descents (r = 0..n-1); N[r-1] counts w in C_n
-    with r cyclic descents (r = 1..n).  The identity N[r] = 2^n A[r] is a
-    theorem, not an assumption: both sides here come from brute force.
+    with r cyclic descents (r = 1..n).  The descents of w are its cyclic
+    descents other than the marker 0, so A[r] sums the sizes of the classes
+    of ``descent_classes("A", n)`` with |Cdes \\ {0}| = r, and N[r-1] those
+    of ``descent_classes("C", n)`` with |Cdes| = r.  The identity
+    N[r] = 2^n A[r] is a theorem, not an assumption: each side is counted
+    from its own group's enumeration.
     """
     A = [0] * n
-    for w in all_permutations(n):
-        A[len(type_a_stats(w).descents)] += 1
+    for c in descent_classes("A", n):
+        A[len(c.cdes - _AFFINE)] += c.size
     N = [0] * n
-    for v in all_signed_permutations(n):
-        N[type_c_stats(v).cd - 1] += 1
+    for c in descent_classes("C", n):
+        N[len(c.cdes) - 1] += c.size
     return HistogramPair(tuple(A), tuple(N))
 
 

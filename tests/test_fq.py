@@ -563,22 +563,28 @@ def plus_one(field, c):
     (sl_class_measure, 3, 3, 1, zero, "degree 3 over F_5: product [1, 0, 2, 1] repeats"),
     (sl_class_measure, 3, 3, 0, plus_one,
      "degree 3 over F_5: product [2, 2, 2, 1] has constant term 2, not 1"),
-    # The type C blocks of degree 4 are products too, built before the walk:
-    # the conjugate-pair products, then the squares g^2.  The first leaf is
-    # z^4 + 1 = (z^2 + 2)(z^2 + 3), corrupted as a block and again as a leaf.
+    # The type C blocks of degree 4 are sound, so the guard sees a corrupted
+    # product of blocks, the first being (z + 1)^2 (z + 1)^2.
     (sp_class_measure, 2, 4, 1, plus_one,
-     "degree 4 over F_5: product [1, 2, 0, 0, 1] is not palindromic"),
+     "degree 4 over F_5: product [1, 0, 1, 4, 1] is not palindromic"),
 ])
 def test_walk_catches_a_wrong_product_coefficient(fresh_f5, monkeypatch, measure, n, degree,
                                                   index, wrong, message):
-    sound = fq._times
+    sound_times, sound_walk = fq._times, fq._block_walk
 
     def faulty(field, a, b):
-        out = sound(field, a, b)
-        if len(out) == degree + 1:  # every product of the full degree
+        out = sound_times(field, a, b)
+        if len(a) > 1 and len(out) == degree + 1:  # two or more blocks, of the full degree
             out[index] = wrong(field, out[index])
         return out
 
-    monkeypatch.setattr(fq, "_times", faulty)
+    def corrupting_walk(field, blocks, target, *single):
+        # The blocks of the walk of the full degree are built by now, so
+        # only the products this walk makes are corrupted.
+        if target == degree:
+            monkeypatch.setattr(fq, "_times", faulty)
+        return sound_walk(field, blocks, target, *single)
+
+    monkeypatch.setattr(fq, "_block_walk", corrupting_walk)
     with pytest.raises(ArithmeticError, match=re.escape(message)):
         measure(n, 5, field=fresh_f5)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from affine_shuffles import cellini, fq, harness, series, shuffles, unimodal
+from affine_shuffles import cellini, closed_forms, fq, harness, perm, series, shuffles, unimodal
 from affine_shuffles.harness import (
     CHECKS,
     PROFILES,
@@ -22,7 +22,15 @@ from affine_shuffles.harness import (
     verify_type_c_product,
     verify_unimodal_product,
 )
-from affine_shuffles.perm import ClassMeasure, CycleType, HistogramPair, SignedCycleType
+from affine_shuffles.perm import (
+    ClassMeasure,
+    CycleType,
+    GroupKind,
+    HistogramPair,
+    Permutation,
+    SignedCycleType,
+    SignedPermutation,
+)
 from affine_shuffles.report import VerificationReport, first_difference
 
 
@@ -122,6 +130,31 @@ def _moved_signed_mass(source, target, mass):
     return fault
 
 
+def _misfiled(family, n, moves):
+    # The class index of (family, n) files each element of ``moves`` (its
+    # text -> a Cdes) under that Cdes.  The routes and the shuffle models
+    # read no index key, so they still see the true Cdes.  A key has a byte
+    # per descent position 1..n-1, then 2 [n in Cdes] + [0 in Cdes].
+    parse = Permutation.from_text if family == "A" else SignedPermutation.from_text
+
+    def fault(monkeypatch):
+        sound = perm._cdes_keys
+        elements = list(GroupKind(family, n).elements())
+
+        def misfiled(fam, size, flat):
+            keys = bytearray(sound(fam, size, flat))
+            if (fam, size) == (family, n):
+                for text, cdes in moves.items():
+                    start = n * elements.index(parse(text))
+                    keys[start:start + n] = bytes(i in cdes for i in range(1, n)) + bytes(
+                        [2 * (n in cdes) + (0 in cdes)])
+            return bytes(keys)
+
+        monkeypatch.setattr(perm, "_cdes_keys", misfiled)
+
+    return fault
+
+
 FAULTS = {
     "cellini_properties": (
         _lost_alcove_point, ("A", 3, 2, 2),
@@ -146,10 +179,31 @@ FAULTS = {
         (8, 2, 0.05),
         {"sup_norm": 0.0625},
     ),
+    "measure_totals": (
+        # 1,3,4,2 (Cdes {0, 3}, x_2 = 0) filed under {0} (x_2 = 1/8)
+        _misfiled("A", 4, {"1,3,4,2": frozenset({0})}),
+        CHECKS["measure_totals"][1]["quick"][0],
+        {"family": "A", "n": 4, "k": 2,
+         "issue": "masses must be nonnegative and sum to exactly 1; they sum to 9/8"},
+    ),
     "reiner_identity": (
         _extra_self_conjugate_quartic, (2, 3),
         {"k": 1, "n": 2, "class": "SignedCycleType(lam=(), mu=(2,))",
          "product": 1, "closed_form": 0},
+    ),
+    "shuffle_model_a": (
+        # 3,2,4,1 (Cdes {1, 3}, x_2 = 1/8) and 3,4,2,1 (Cdes {2, 3}, x_2 = 0)
+        # trade classes; neither is the first of its class, so the total stays 1.
+        _misfiled("A", 4, {"3,2,4,1": frozenset({2, 3}), "3,4,2,1": frozenset({1, 3})}),
+        (4,),
+        {"issue": "model matches neither orientation"},
+    ),
+    "shuffle_model_c": (
+        # -2,1 (Cdes {1}, x_2 = 1/4) and its inverse 2,-1 (Cdes {0, 2},
+        # x_2 = 0) trade classes, so the element turns into its inverse.
+        _misfiled("C", 2, {"-2,1": frozenset({0, 2}), "2,-1": frozenset({1})}),
+        (2, 2),
+        {"issue": "model equals the element itself, not its inverse"},
     ),
     "transitive_unimodal": (
         _extra_unimodal_3_cycle, (10,),
@@ -170,9 +224,11 @@ quick-profile argument tuple, and the witness of the report that must fail."""
 
 
 @pytest.fixture
-def cold_alcove_caches():
-    # Values cached before or under a patched ``_alcove_wall_sets`` would hide it.
-    caches = (cellini._alcove_wall_sets, cellini.x_k_generic, cellini._lattice_coefficient)
+def cold_caches():
+    # Values cached before or under a fault would hide it or leak.
+    caches = (perm.descent_classes, closed_forms.x_k_measure_type_a,
+              closed_forms.x_k_measure_type_c, cellini._alcove_wall_sets,
+              cellini.x_k_generic, cellini._lattice_coefficient)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -181,7 +237,7 @@ def cold_alcove_caches():
 
 
 @pytest.mark.parametrize("name", sorted(FAULTS))
-def test_injected_fault_fails_the_check(name, monkeypatch, cold_alcove_caches):
+def test_injected_fault_fails_the_check(name, monkeypatch, cold_caches):
     fault, args, witness = FAULTS[name]
     function, cases = CHECKS[name]
     assert args in cases["quick"]

@@ -2,10 +2,12 @@
 
 Every route computes a coefficient once per cyclic-descent class and caches
 it, and the whole-group routes read the class index ``perm.descent_classes``,
-which is cached too.  So these tests start from cold caches: the
-class-invariance check then compares freshly computed values, and a kernel or
-an index input corrupted after the clear cannot hide behind values cached
-before it.  A monkeypatch of anything these caches read must clear them.
+which is cached too.  The index keys its elements by ``perm._cdes_keys``, not
+by the descent statistics the routes read.  So these tests start from cold
+caches: the class-invariance check then compares freshly computed values,
+and a kernel or an index key corrupted after the clear cannot hide behind
+values cached before it.  A monkeypatch of anything these caches read must
+clear them.
 """
 
 import importlib
@@ -39,7 +41,8 @@ ROUTE_CACHES = (
 
 @pytest.fixture
 def cold_route_caches():
-    # Cleared afterwards too, so values computed under a patch do not leak.
+    # Cleared afterwards too, so values computed under a patched kernel or
+    # ``perm._cdes_keys`` do not leak.
     for cache in ROUTE_CACHES:
         cache.cache_clear()
     yield
@@ -113,16 +116,19 @@ def test_corrupt_lattice_count_fails_four_formulas(cold_route_caches, monkeypatc
 
 
 def _misplace(monkeypatch, moves):
-    # Only the class index reads ``perm.type_a_stats`` through ``perm``; the
-    # routes hold their own reference, so they still see true statistics.
-    sound = perm.type_a_stats
+    # The class index files each S_n element under the key ``perm._cdes_keys``
+    # gives it; the routes read ``type_a_stats``, so they still see the true
+    # Cdes.  A type A key has a byte per descent position 1..n-1, then [0 in Cdes].
+    sound = perm._cdes_keys
 
-    def misplaced(w):
-        stats = sound(w)
-        cdes = moves.get(w.images)
-        return stats if cdes is None else stats._replace(cyclic_descents=cdes)
+    def misplaced(family, n, flat):
+        keys = bytearray(sound(family, n, flat))
+        for images, cdes in moves.items():
+            start = next(s for s in range(0, len(flat), n) if flat[s:s + n] == bytes(images))
+            keys[start:start + n] = bytes(i in cdes for i in [*range(1, n), 0])
+        return bytes(keys)
 
-    monkeypatch.setattr(perm, "type_a_stats", misplaced)
+    monkeypatch.setattr(perm, "_cdes_keys", misplaced)
 
 
 def test_misplaced_index_element_breaks_the_measure(cold_route_caches, monkeypatch):
