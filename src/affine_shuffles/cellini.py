@@ -19,10 +19,14 @@ descent set and reusing the count for every element with that set is exact.
 ``x_k_generic`` counts once per class of ``perm.descent_classes`` and copies
 the count to the class's members (``GroupAlgebraElement.probability_per_class``);
 ``x_k_type_a_lattice`` keeps the bounded ``lru_cache`` ``_lattice_coefficient``,
-which no other route uses.  A test that monkeypatches what the lattice count
-reads (such as ``_alcove_wall_sets``) must ``cache_clear()``
-``_lattice_coefficient`` and ``x_k_generic`` first, or values cached before
-the patch hide it.
+which no other route uses.  It is keyed by (n, k, key), where key holds n
+bytes read straight off w's images: byte i - 1 is 1 where w has a descent at
+position i < n, and the last byte is 1 where w(n) > w(1), the marker 0.  The
+key is decoded to Cdes(w) only on a cache miss, and the route reads neither
+the descent statistics nor the class index.  A test that monkeypatches what
+the lattice count reads (such as ``_alcove_wall_sets``) must
+``cache_clear()`` ``_lattice_coefficient`` and ``x_k_generic`` first, or
+values cached before the patch hide it.
 
 Realizations (pairing is the Euclidean dot product):
 
@@ -34,6 +38,7 @@ Realizations (pairing is the Euclidean dot product):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,7 +50,6 @@ from .perm import (
     GroupKind,
     Permutation,
     descent_classes,
-    type_a_stats,
 )
 from .report import CheckTimer, VerificationReport, first_difference
 
@@ -221,11 +225,22 @@ def x_k_type_a_lattice(w: Permutation, k: int) -> Fraction:
     decreasing at every descent of w, and with v_1 < v_n + k whenever
     w(n) > w(1); then divides by k^{n-1}.  ``alcove_points`` rejects k < 1.
     """
-    return _lattice_coefficient(w.n, k, type_a_stats(w).cyclic_descents)
+    if not isinstance(w, Permutation):
+        raise ValueError(f"x_k_type_a_lattice needs a Permutation, got {w!r}")
+    images = w.images
+    return _lattice_coefficient(
+        len(images), k, bytes(map(operator.gt, images, images[1:] + images[:1]))
+    )
+
+
+def _lattice_cdes(key: bytes) -> frozenset[int]:
+    # Byte i - 1 stands for position i; position n is the marker 0.
+    return frozenset(i % len(key) for i, descent in enumerate(key, start=1) if descent)
 
 
 @lru_cache(maxsize=4096)
-def _lattice_coefficient(n: int, k: int, cdes: frozenset[int]) -> Fraction:
+def _lattice_coefficient(n: int, k: int, key: bytes) -> Fraction:
+    cdes = _lattice_cdes(key)
     count = sum(
         1 for _, walls in _alcove_wall_sets(RootSystem.type_a(n), k) if walls.isdisjoint(cdes)
     )

@@ -61,6 +61,8 @@ __all__ = [
 def x_k_type_a(w: Permutation, k: int, method: int = 1) -> Fraction:
     """Coefficient of w in the type A affine k-shuffle, by one of three routes
     (``method`` 1, 2 or 4; 3 is an alias of 1)."""
+    if not isinstance(w, Permutation):
+        raise ValueError(f"x_k_type_a needs a Permutation, got {w!r}")
     if k < 1:
         raise ValueError("k must be positive")
     n = w.n
@@ -92,6 +94,8 @@ def x_k_type_c(w: SignedPermutation, k: int) -> Fraction:
     (1/k^n) * binom(k/2 + n - cd(w), n) for even k,
     with the binomial vanishing when its upper index drops below n.
     """
+    if not isinstance(w, SignedPermutation):
+        raise ValueError(f"x_k_type_c needs a SignedPermutation, got {w!r}")
     if k < 1:
         raise ValueError("k must be positive")
     stats = type_c_stats(w)

@@ -12,7 +12,9 @@ against this convention.
 The module also houses the descent statistics the measures are built from
 (descents, major index, cyclic descents for both types), the cyclic-descent
 class index, conjugacy-class data (cycle types, signed cycle types), descent
-histograms, and sparse group-algebra arithmetic over exact rationals.
+histograms, and sparse group-algebra arithmetic over exact rationals; its
+kernels sum integer numerators over the lcm of the coefficients'
+denominators and make one ``Fraction`` per result entry.
 
 Every affine shuffle element x_k reads w only through its cyclic descent set
 Cdes(w) (Cellini: the coefficient of w is (1/k^r) times the number of alcove
@@ -32,12 +34,13 @@ key step ``_cdes_keys``, must ``cache_clear()`` it first.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Union
 
 __all__ = [
     "Permutation",
@@ -534,7 +537,8 @@ class GroupAlgebraElement:
         return self.coeffs.get(w, Fraction(0))
 
     def total(self) -> Fraction:
-        return sum(self.coeffs.values(), Fraction(0))
+        numerators, denom = _over_common_denominator(self.coeffs.values())
+        return Fraction(sum(numerators), denom)
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return convolve(self, other)
@@ -572,31 +576,61 @@ class GroupAlgebraElement:
 
     def class_measure(self) -> "ClassMeasure":
         """Push a probability element forward to conjugacy classes."""
+        numerators, denom = _over_common_denominator(self.coeffs.values())
         masses: dict = {}
-        for w, c in self.coeffs.items():
+        for w, c in zip(self.coeffs, numerators):
             t = cycle_type(w)
-            masses[t] = masses.get(t, Fraction(0)) + c
-        return ClassMeasure(masses)
+            masses[t] = masses.get(t, 0) + c
+        return ClassMeasure({t: Fraction(m, denom) for t, m in masses.items()})
+
+
+def _over_common_denominator(values: Collection[Fraction]) -> tuple[list[int], int]:
+    # Exact rationals as integer numerators over the lcm of their
+    # denominators, so that sums and products need no Fraction until the end.
+    denom = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def _require_probability(masses: Mapping) -> None:
-    total = sum(masses.values(), Fraction(0))
-    if total != 1 or any(m < 0 for m in masses.values()):
+    numerators, denom = _over_common_denominator(masses.values())
+    total = sum(numerators)
+    if total != denom or any(m < 0 for m in numerators):
         raise ValueError(
-            f"masses must be nonnegative and sum to exactly 1; they sum to {total}"
+            "masses must be nonnegative and sum to exactly 1; "
+            f"they sum to {Fraction(total, denom)}"
         )
 
 
 def convolve(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Group-algebra product: the coefficient of u*v picks up a_u * b_v."""
+    """Group-algebra product: the coefficient of u*v picks up a_u * b_v.
+
+    Each operand is scaled to integer numerators over the lcm of its
+    denominators, da and db; each coefficient of the product is then an
+    integer sum over da * db, made a ``Fraction`` once.  The result is exact,
+    omits the terms that cancel to 0, and lists its elements in the order in
+    which the pairs (u, v), taken in the operands' orders, first reach them.
+    u * v is composed on image tuples: v's images index the table
+    (0, u(1), ..., u(n), -u(n), ..., -u(1)), which gives u(-i) = -u(i) at
+    index -i, and a product of two valid elements needs no check.
+    """
     if a.kind != b.kind:
         raise ValueError(f"mismatched group kinds: {a.kind} vs {b.kind}")
-    out: dict[GroupElement, Fraction] = {}
-    for u, cu in a.coeffs.items():
-        for v, cv in b.coeffs.items():
-            w = u * v
-            out[w] = out.get(w, Fraction(0)) + cu * cv
-    return GroupAlgebraElement(a.kind, out)
+    a_numerators, da = _over_common_denominator(a.coeffs.values())
+    b_numerators, db = _over_common_denominator(b.coeffs.values())
+    # The leading index 0 keeps each composed key a tuple, also at n = 1.
+    right = [(operator.itemgetter(0, *v.images), cv) for v, cv in zip(b.coeffs, b_numerators)]
+    sums: dict[tuple[int, ...], int] = {}
+    for u, cu in zip(a.coeffs, a_numerators):
+        images = u.images
+        table = (0, *images, *(-x for x in reversed(images)))
+        for compose, cv in right:
+            w = compose(table)
+            sums[w] = sums.get(w, 0) + cu * cv
+    cls = Permutation if a.kind.family == "A" else SignedPermutation
+    denom = da * db
+    return GroupAlgebraElement(
+        a.kind, {_trusted(cls, w[1:]): Fraction(c, denom) for w, c in sums.items() if c}
+    )
 
 
 def invert_element(a: GroupAlgebraElement) -> GroupAlgebraElement:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from affine_shuffles import cellini
 from affine_shuffles.cellini import (
     RootSystem,
     a_k_I,
@@ -20,6 +21,7 @@ from affine_shuffles.perm import (
     SignedPermutation,
     all_permutations,
     all_signed_permutations,
+    type_a_stats,
 )
 
 
@@ -158,6 +160,36 @@ def test_lattice_examples():
     assert x_k_type_a_lattice(perm("1,2,3"), 3) == Fraction(2, 9)
     assert x_k_type_a_lattice(perm("2,1,3"), 2) == Fraction(0)
     assert x_k_type_a_lattice(perm("3,2,1"), 2) == Fraction(1, 4)
+
+
+def test_lattice_key_decodes_to_the_cyclic_descents(monkeypatch):
+    keys = []
+    monkeypatch.setattr(
+        cellini, "_lattice_coefficient", lambda n, k, key: keys.append(key) or Fraction(0)
+    )
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            x_k_type_a_lattice(w, 2)
+            assert len(keys[-1]) == n
+            assert cellini._lattice_cdes(keys[-1]) == type_a_stats(w).cyclic_descents, w
+    assert keys[0] == b"\0" and cellini._lattice_cdes(keys[0]) == frozenset()
+
+
+def test_lattice_rejects_k_below_one_with_a_warm_cache():
+    cellini._lattice_coefficient.cache_clear()
+    w = perm("2,3,1")
+    with pytest.raises(ValueError, match="k must be positive"):
+        x_k_type_a_lattice(w, 0)
+    x_k_type_a_lattice(w, 1)
+    x_k_type_a_lattice(w, 3)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be positive"):
+            x_k_type_a_lattice(w, k)
+
+
+def test_lattice_rejects_a_signed_permutation():
+    with pytest.raises(ValueError, match="needs a Permutation"):
+        x_k_type_a_lattice(SignedPermutation.from_text("2,-1,3"), 3)
 
 
 def test_lattice_agrees_with_generic():

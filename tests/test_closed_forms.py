@@ -27,6 +27,15 @@ def sperm(text):
     return SignedPermutation.from_text(text)
 
 
+@pytest.mark.parametrize("route, w, expected", [
+    (x_k_type_a, sperm("2,-1,3"), "Permutation"),
+    (x_k_type_c, perm("2,1,3"), "SignedPermutation"),
+])
+def test_closed_forms_reject_the_other_family(route, w, expected):
+    with pytest.raises(ValueError, match=f"needs a {expected}, got"):
+        route(w, 3)
+
+
 def test_type_a_frozen_values():
     for method in (1, 2, 3, 4):
         assert x_k_type_a(perm("1,2,3"), 3, method) == Fraction(2, 9)

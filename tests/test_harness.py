@@ -93,6 +93,21 @@ def _lost_alcove_point(monkeypatch):
     monkeypatch.setattr(cellini, "_alcove_wall_sets", lambda rs, k: sound(rs, k)[1:])
 
 
+def _shape_multiset_read_as_a_set(monkeypatch):
+    # Every cycle shape is read with multiplicity 1, so classes that differ
+    # only in how often a shape occurs merge.
+    sound = unimodal.shape_multiset
+    monkeypatch.setattr(
+        unimodal, "shape_multiset", lambda w: tuple((shape, 1) for shape, _ in sound(w)),
+    )
+
+
+def _von_sterneck_counts_one_extra(monkeypatch):
+    # Both sides of the reciprocity gain 1, so only the brute counts see it.
+    sound = harness.von_sterneck
+    monkeypatch.setattr(harness, "von_sterneck", lambda m, k, r: sound(m, k, r) + 1)
+
+
 def _one_extra_cyclic_descent_count(monkeypatch):
     # The hyperoctahedral histogram counts one element with 2 cyclic
     # descents too many.
@@ -168,6 +183,10 @@ FAULTS = {
         {"class": "SignedCycleType(lam=(), mu=(2,))",
          "polynomial_side": Fraction(1, 3), "shuffle_side": Fraction(2, 9)},
     ),
+    "gannon_law": (
+        _shape_multiset_read_as_a_set, (5,),
+        {"shapes": "(((1), 1), ((2 1), 1))", "count": 4, "expected": 2},
+    ),
     "histogram_identity": (
         _one_extra_cyclic_descent_count, (3,),
         {"r": 1, "N_{r+1}": 33, "2^n A_r": 32},
@@ -185,6 +204,10 @@ FAULTS = {
         CHECKS["measure_totals"][1]["quick"][0],
         {"family": "A", "n": 4, "k": 2,
          "issue": "masses must be nonnegative and sum to exactly 1; they sum to 9/8"},
+    ),
+    "reciprocity": (
+        _von_sterneck_counts_one_extra, (3, 3, True),
+        {"formula": 3, "brute_left": 2, "brute_right": 2},
     ),
     "reiner_identity": (
         _extra_self_conjugate_quartic, (2, 3),
@@ -245,6 +268,28 @@ def test_injected_fault_fails_the_check(name, monkeypatch, cold_caches):
     report = function(*args)
     assert report.status == "fail"
     assert report.witness == witness
+
+
+def test_cellini_properties_fails_on_a_wrong_product(monkeypatch):
+    # The product moves 1/16 of its mass from the identity to 3,2,1.  The
+    # measure sum reads no product, so the convolution law must fail.
+    sound = perm.convolve
+    identity, longest = Permutation.identity(3), Permutation.from_text("3,2,1")
+
+    def moved(a, b):
+        coeffs = dict(sound(a, b).coeffs)
+        coeffs[identity] -= Fraction(1, 16)
+        coeffs[longest] = coeffs.get(longest, 0) + Fraction(1, 16)
+        return perm.GroupAlgebraElement(a.kind, coeffs)
+
+    monkeypatch.setattr(perm, "convolve", moved)
+    function, cases = CHECKS["cellini_properties"]
+    args = ("A", 3, 2, 2)
+    assert args in cases["quick"]
+    report = function(*args)
+    assert report.status == "fail"
+    assert report.witness == {"identity": "x_k x_h = x_kh", "element": "1,2,3",
+                              "left": Fraction(3, 16), "right": Fraction(1, 4)}
 
 
 @pytest.mark.parametrize("check, args, message", [

@@ -1,6 +1,7 @@
 """Group elements, statistics, cycle types, and group-algebra arithmetic."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -380,6 +381,47 @@ def test_convolve_rejects_mismatched_kinds():
     b = GroupAlgebraElement.delta(GroupKind("A", 4), Permutation.identity(4))
     with pytest.raises(ValueError):
         convolve(a, b)
+
+
+def _naive_convolve(a, b):
+    # The product one Fraction at a time, through the elements' own __mul__.
+    out = {}
+    for u, cu in a.coeffs.items():
+        for v, cv in b.coeffs.items():
+            w = u * v
+            out[w] = out.get(w, Fraction(0)) + cu * cv
+    return out
+
+
+def _random_element(rng, kind, elements):
+    support = rng.sample(elements, rng.randint(0, min(len(elements), 8)))
+    return GroupAlgebraElement(
+        kind, {w: Fraction(rng.randint(-4, 4), rng.randint(1, 12)) for w in support}
+    )
+
+
+def test_convolve_matches_the_naive_product():
+    rng = random.Random(20261019)
+    pairs = []
+    for family in ("A", "C"):
+        for n in (1, 2, 3, 4):
+            kind = GroupKind(family, n)
+            elements = list(kind.elements())
+            pairs += [(_random_element(rng, kind, elements), _random_element(rng, kind, elements))
+                      for _ in range(40)]
+    # every term cancels; the empty element on either side
+    kind = GroupKind("C", 2)
+    a = GroupAlgebraElement(kind, {sperm("1,2"): Fraction(1, 2), sperm("-1,2"): Fraction(-1, 2)})
+    b = GroupAlgebraElement(kind, {sperm("1,2"): Fraction(1, 3), sperm("-1,2"): Fraction(1, 3)})
+    empty = GroupAlgebraElement(kind, {})
+    pairs += [(a, b), (empty, b), (a, empty)]
+    cancelled = 0
+    for a, b in pairs:
+        naive = _naive_convolve(a, b)
+        expected = {w: c for w, c in naive.items() if c != 0}
+        cancelled += len(naive) - len(expected)
+        assert list(convolve(a, b).coeffs.items()) == list(expected.items())
+    assert cancelled > 2  # the random pairs cancel terms too
 
 
 def _sparse_element(images_list, coeffs):
