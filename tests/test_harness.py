@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from affine_shuffles import cellini, closed_forms, fq, harness, perm, series, shuffles, unimodal
+from affine_shuffles import (
+    cellini, closed_forms, fq, harness, numth, perm, series, shuffles, unimodal,
+)
 from affine_shuffles.harness import (
     CHECKS,
     PROFILES,
@@ -108,16 +110,19 @@ def _von_sterneck_counts_one_extra(monkeypatch):
     monkeypatch.setattr(harness, "von_sterneck", lambda m, k, r: sound(m, k, r) + 1)
 
 
-def _one_extra_cyclic_descent_count(monkeypatch):
-    # The hyperoctahedral histogram counts one element with 2 cyclic
-    # descents too many.
-    sound = harness.descent_histograms
+def _one_extra_cyclic_descent_count(module):
+    # The hyperoctahedral histogram, as ``module`` reads it, counts one
+    # element with 2 cyclic descents too many.
+    def fault(monkeypatch):
+        sound = module.descent_histograms
 
-    def faulty(n):
-        A, N = sound(n)
-        return HistogramPair(A, N[:1] + (N[1] + 1,) + N[2:])
+        def faulty(n):
+            A, N = sound(n)
+            return HistogramPair(A, N[:1] + (N[1] + 1,) + N[2:])
 
-    monkeypatch.setattr(harness, "descent_histograms", faulty)
+        monkeypatch.setattr(module, "descent_histograms", faulty)
+
+    return fault
 
 
 def _extra_unimodal_3_cycle(monkeypatch):
@@ -126,6 +131,48 @@ def _extra_unimodal_3_cycle(monkeypatch):
     monkeypatch.setattr(
         unimodal, "transitive_unimodal_count", lambda n: sound(n) + (n == 3),
     )
+
+
+def _unimodal_enumeration_one_short(monkeypatch):
+    # The enumeration stops one subset short, so S_1 has no unimodal element.
+    sound = unimodal.enumerate_unimodal
+    monkeypatch.setattr(unimodal, "enumerate_unimodal", lambda n: sound(n)[:-1])
+
+
+def _eta_without_conjugation(monkeypatch):
+    # The eta map stops at the unsigned inverse and skips the conjugation by
+    # i -> n+1-i, so its images are no longer unimodal from n = 3 on.
+    def unconjugated(outcome):
+        unimodal._validate_two_shuffle_outcome(outcome)
+        return outcome.inverse().underlying()
+
+    monkeypatch.setattr(unimodal, "eta_map", unconjugated)
+
+
+def _partition_count_off_in_one_box(monkeypatch):
+    # Method 1's partition count is 1 too high in the box of at most 3 parts,
+    # each at most 1: at n = 4, only where k - cd(w) = 1.
+    sound = numth.bounded_partition_count
+
+    def corrupt(max_parts, max_part, modulus, residue):
+        bump = max_parts == 3 and max_part == 1
+        return sound(max_parts, max_part, modulus, residue) + bump
+
+    monkeypatch.setattr(closed_forms, "bounded_partition_count", corrupt)
+
+
+def _relabelled_kernel_outcome(source, target):
+    # The riffle kernel reports each draw of ``source`` as ``target``.
+    def fault(monkeypatch):
+        kernel = shuffles._riffle_images
+
+        def relabelled(stacks, rng):
+            images = kernel(stacks, rng)
+            return target if images == source else images
+
+        monkeypatch.setattr(shuffles, "_riffle_images", relabelled)
+
+    return fault
 
 
 def _moved_signed_mass(source, target, mass):
@@ -183,12 +230,25 @@ FAULTS = {
         {"class": "SignedCycleType(lam=(), mu=(2,))",
          "polynomial_side": Fraction(1, 3), "shuffle_side": Fraction(2, 9)},
     ),
+    "eta_map": (
+        _eta_without_conjugation, (3,),
+        {"issue": "image is not the unimodal set"},
+    ),
+    "eta_worked_example": (
+        _eta_without_conjugation, (),
+        {"image": "11,9,7,5,2,1,3,4,6,8,10,12"},
+    ),
+    "four_formulas": (
+        _partition_count_off_in_one_box, (4, 4),
+        {"element": "1,2,3,4", "k": 2,
+         "values (methods 1, 2, 4, lattice)": [Fraction(1, 4)] + [Fraction(1, 8)] * 3},
+    ),
     "gannon_law": (
         _shape_multiset_read_as_a_set, (5,),
         {"shapes": "(((1), 1), ((2 1), 1))", "count": 4, "expected": 2},
     ),
     "histogram_identity": (
-        _one_extra_cyclic_descent_count, (3,),
+        _one_extra_cyclic_descent_count(harness), (3,),
         {"r": 1, "N_{r+1}": 33, "2^n A_r": 32},
     ),
     "limit_law": (
@@ -214,6 +274,12 @@ FAULTS = {
         {"k": 1, "n": 2, "class": "SignedCycleType(lam=(), mu=(2,))",
          "product": 1, "closed_form": 0},
     ),
+    "sampler_sanity": (
+        # 1,2,3 reported as -1,2,3: one outcome of mass 1/8 reads 0, another 1/4
+        _relabelled_kernel_outcome((1, 2, 3), (-1, 2, 3)),
+        (3, 2, 100_000, 0.02, 20260810),
+        {"sup_norm": 0.12617},
+    ),
     "shuffle_model_a": (
         # 3,2,4,1 (Cdes {1, 3}, x_2 = 1/8) and 3,4,2,1 (Cdes {2, 3}, x_2 = 0)
         # trade classes; neither is the first of its class, so the total stays 1.
@@ -232,10 +298,19 @@ FAULTS = {
         _extra_unimodal_3_cycle, (10,),
         {"n": 3, "brute": 1, "closed_form": 2},
     ),
+    "tv_equality": (
+        # only the type C side reads the cyclic-descent histogram
+        _one_extra_cyclic_descent_count(shuffles), (2, 2),
+        {"affine_c_tv": Fraction(9, 16), "riffle_tv": Fraction(1, 2)},
+    ),
     "type_c_product": (
         _extra_self_conjugate_quartic, (2, 2),
         {"n": 2, "class": "SignedCycleType(lam=(), mu=(2,))",
          "product": 2, "enumeration": 1},
+    ),
+    "unimodal_count": (
+        _unimodal_enumeration_one_short, (10,),
+        {"n": 1, "count": 0},
     ),
     "unimodal_product": (
         _extra_self_conjugate_quartic, (6,),
@@ -249,8 +324,9 @@ quick-profile argument tuple, and the witness of the report that must fail."""
 @pytest.fixture
 def cold_caches():
     # Values cached before or under a fault would hide it or leak.
-    caches = (perm.descent_classes, closed_forms.x_k_measure_type_a,
-              closed_forms.x_k_measure_type_c, cellini._alcove_wall_sets,
+    caches = (perm.descent_classes, closed_forms._type_a_coefficient,
+              closed_forms.x_k_measure_type_a, closed_forms.x_k_measure_type_c,
+              cellini._alcove_wall_sets,
               cellini.x_k_generic, cellini._lattice_coefficient)
     for cache in caches:
         cache.cache_clear()
@@ -268,6 +344,10 @@ def test_injected_fault_fails_the_check(name, monkeypatch, cold_caches):
     report = function(*args)
     assert report.status == "fail"
     assert report.witness == witness
+
+
+def test_every_check_has_a_fault():
+    assert set(FAULTS) == set(CHECKS)
 
 
 def test_cellini_properties_fails_on_a_wrong_product(monkeypatch):
@@ -326,27 +406,8 @@ def test_sampler_rejects_no_draws(draws):
         verify_sampler(3, 2, draws, 0.02, 1)
 
 
-def _relabel_kernel_outcome(monkeypatch, source, target):
-    kernel = shuffles._riffle_images
-
-    def relabelled(stacks, rng):
-        images = kernel(stacks, rng)
-        return target if images == source else images
-
-    monkeypatch.setattr(shuffles, "_riffle_images", relabelled)
-
-
-def test_sampler_sanity_fails_when_an_outcome_is_misreported(monkeypatch):
-    # 1,2,3 reported as -1,2,3: one outcome of mass 1/8 reads 0, another 1/4.
-    _relabel_kernel_outcome(monkeypatch, (1, 2, 3), (-1, 2, 3))
-    report = verify_sampler(3, 2, 100_000, 0.02, 20260810)
-    assert report.status == "fail"
-    assert set(report.witness) == {"sup_norm"}
-    assert 0.1 < report.witness["sup_norm"] < 0.15
-
-
 def test_sampler_sanity_reports_an_invalid_outcome(monkeypatch):
-    _relabel_kernel_outcome(monkeypatch, (1, 2, 3), (1, 1, 2))
+    _relabelled_kernel_outcome((1, 2, 3), (1, 1, 2))(monkeypatch)
     report = verify_sampler(3, 2, 100_000, 0.02, 20260810)
     assert report.status == "fail"
     assert report.witness["invalid_outcome"] == [1, 1, 2]

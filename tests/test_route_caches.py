@@ -18,7 +18,7 @@ from itertools import combinations
 import pytest
 
 import affine_shuffles
-from affine_shuffles import cellini, closed_forms, numth, perm
+from affine_shuffles import cellini, closed_forms, perm
 from affine_shuffles.cellini import (
     RootSystem,
     a_k_I,
@@ -84,23 +84,6 @@ def test_type_c_routes_match_wall_set_oracle(cold_route_caches, k):
     for w in rs.group_elements():
         want = expected(w)
         assert [x_k_type_c(w, k), generic.coefficient(w)] == [want, want], (w, k)
-
-
-def test_corrupt_partition_count_fails_four_formulas(cold_route_caches, monkeypatch):
-    sound = numth.bounded_partition_count
-
-    # Wrong only in method 1's box at n = 4 with k - cd(w) = 1.
-    def corrupt(max_parts, max_part, modulus, residue):
-        bump = max_parts == 3 and max_part == 1
-        return sound(max_parts, max_part, modulus, residue) + bump
-
-    monkeypatch.setattr(closed_forms, "bounded_partition_count", corrupt)
-    report = verify_four_formulas(4, 3)
-    assert report.status == "fail"
-    assert report.witness == {
-        "element": "1,2,3,4", "k": 2,
-        "values (methods 1, 2, 4, lattice)": [Fraction(1, 4)] + [Fraction(1, 8)] * 3,
-    }
 
 
 def test_corrupt_lattice_count_fails_four_formulas(cold_route_caches, monkeypatch):
