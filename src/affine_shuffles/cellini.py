@@ -51,7 +51,7 @@ from .perm import (
     Permutation,
     descent_classes,
 )
-from .report import CheckTimer, VerificationReport, first_difference
+from .report import check, first_difference
 
 __all__ = [
     "RootSystem",
@@ -247,7 +247,8 @@ def _lattice_coefficient(n: int, k: int, key: bytes) -> Fraction:
     return Fraction(count, k ** (n - 1))
 
 
-def verify_cellini_properties(rs: RootSystem, k: int, h: int) -> VerificationReport:
+@check("cellini_properties")
+def verify_cellini_properties(rs: RootSystem, k: int, h: int):
     """Check two identities: the measure identity and the convolution law.
 
     * sum_I a_{k,I} |U_I| = k^r with U_I = {w : Cdes(w) cap I = empty};
@@ -256,8 +257,6 @@ def verify_cellini_properties(rs: RootSystem, k: int, h: int) -> VerificationRep
     The pairs (y, w) with I(y) cap Cdes(w^{-1}) empty number the measure sum
     again, since w -> w^{-1} is a bijection, so they need no check of their own.
     """
-    timer = CheckTimer()
-    params = {"family": rs.family, "rank": rs.rank, "k": k, "h": h}
     denom = k**rs.rank
     wall_sets = [walls for _, walls in _alcove_wall_sets(rs, k)]
 
@@ -267,22 +266,13 @@ def verify_cellini_properties(rs: RootSystem, k: int, h: int) -> VerificationRep
         sum(cls.size for cls in classes if not (cls.cdes & walls)) for walls in wall_sets
     )
     if measure_sum != denom:
-        return timer.report(
-            "cellini_properties", params,
-            {"identity": "sum_I a_kI |U_I| = k^r", "left": measure_sum, "right": denom},
-        )
+        return {"identity": "sum_I a_kI |U_I| = k^r", "left": measure_sum, "right": denom}
 
     xk, xh, xkh = x_k_generic(rs, k), x_k_generic(rs, h), x_k_generic(rs, k * h)
     product = xk * xh
     bad = first_difference(product.coeffs, xkh.coeffs, key=lambda v: v.images)
     if bad is not None:
-        return timer.report(
-            "cellini_properties", params,
-            {"identity": "x_k x_h = x_kh", "element": bad.to_text(),
-             "left": product.coefficient(bad), "right": xkh.coefficient(bad)},
-        )
+        return {"identity": "x_k x_h = x_kh", "element": bad.to_text(),
+                "left": product.coefficient(bad), "right": xkh.coefficient(bad)}
 
-    return timer.report(
-        "cellini_properties", params, None,
-        notes=f"sum_I a_kI|U_I| = {measure_sum} = k^r",
-    )
+    return None, f"sum_I a_kI|U_I| = {measure_sum} = k^r"

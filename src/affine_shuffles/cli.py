@@ -9,8 +9,9 @@ Subcommands:
 
 Global flags ``--json``, ``--csv``, ``--out PATH`` and ``--decimal DIGITS``
 control output.  All numbers are exact rationals rendered as "a/b" unless
-``--decimal`` asks for rounded decimals.  Exit status is nonzero iff a
-verification check failed.
+``--decimal`` asks for rounded decimals.  Exit status is 1 iff a verification
+check failed, and 2 for a usage error or an ``--out`` path that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -46,8 +47,14 @@ class _Output:
         if text and not text.endswith("\n"):
             text += "\n"
         if self.path:
-            with open(self.path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            try:
+                with open(self.path, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                # exit 1 means a check failed, so an unwritable path exits 2
+                print(f"affine-shuffles: error: cannot write --out {self.path}: {exc.strerror}",
+                      file=sys.stderr)
+                raise SystemExit(2) from None
         else:
             sys.stdout.write(text)
 

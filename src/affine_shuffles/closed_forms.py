@@ -32,7 +32,8 @@ the first element of each class of ``perm.descent_classes`` (``x_k_type_a``
 or ``x_k_type_c`` compute that element's statistics afresh) and copy the
 value to the class's members.
 A test that monkeypatches a kernel these helpers call must ``cache_clear()``
-them and the two measures first, or values cached before the patch hide it.
+them and ``x_k_measure_type_c`` first, or values cached before the patch hide
+it.
 """
 
 from __future__ import annotations
@@ -109,7 +110,6 @@ def _type_c_coefficient(n: int, k: int, descents: int) -> Fraction:
     return Fraction(binomial(k // 2 + n - descents, n), k**n)
 
 
-@lru_cache(maxsize=32)
 def x_k_measure_type_a(n: int, k: int, method: int = 1) -> GroupAlgebraElement:
     """The whole type A element, from the chosen closed form."""
     return GroupAlgebraElement.probability_per_class(

@@ -1,10 +1,12 @@
 """Orchestrated verification of every identity the library implements.
 
-Each check returns a :class:`VerificationReport`.  ``CHECKS`` registers every
-check by name with its argument tuples per profile ("quick" for a fast smoke
-run, "full" for the acceptance sizes); ``run_checks`` runs the named checks
-and ``verify_all`` the whole battery, both returning the reports sorted by
-check name.
+Each check is a function decorated with ``report.check(name)``: it returns
+only its witness, None when it passes, with its notes if it has any, and the
+decorator turns that into a :class:`VerificationReport`.  ``CHECKS`` registers every check under that
+name with its argument tuples per profile ("quick" for a fast smoke run,
+"full" for the acceptance sizes); ``run_checks`` runs the named checks and
+``verify_all`` the whole battery, both returning the reports sorted by check
+name.
 
 ``dmp`` and ``four_formulas`` compare the x_k routes once per class of
 ``perm.descent_classes``, on the class's first element: every route is a
@@ -21,6 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import cellini, closed_forms, fq, series, shuffles, unimodal
+from .cellini import RootSystem
 from .perm import (
     CycleType,
     SignedPermutation,
@@ -30,7 +33,7 @@ from .perm import (
     invert_element,
 )
 from .numth import binomial, von_sterneck
-from .report import CheckTimer, VerificationReport, first_difference
+from .report import VerificationReport, check, first_difference
 
 __all__ = [
     "CHECKS",
@@ -62,86 +65,63 @@ _RECIPROCITY_NOTE = (
 )
 
 
-def verify_dmp(family: str, n: int, q: int) -> VerificationReport:
+@check("dmp")
+def verify_dmp(family: str, n: int, q: int):
     """Class-measure equality: random polynomial factorization types versus
     the affine q-shuffle element, with every available route cross-checked."""
-    timer = CheckTimer()
-    params = {"family": family, "n": n, "q": q}
-
     rs = _root_system(family, n)
     try:
         generic = cellini.x_k_generic(rs, q)
     except ValueError as exc:  # probability() saw a negative mass or a total other than 1
-        return timer.report("dmp", params, {"route": "x_k_generic", "issue": str(exc)})
+        return {"route": "x_k_generic", "issue": str(exc)}
     if family == "A":
         polynomial = fq.sl_class_measure(n, q)
         for w in (cls.first for cls in descent_classes("A", n)):
             values = [closed_forms.x_k_type_a(w, q, method) for method in (1, 2, 4)]
             values.append(generic.coefficient(w))
             if any(v != values[0] for v in values):
-                return timer.report(
-                    "dmp", params,
-                    {"element": w.to_text(),
-                     "values (methods 1, 2, 4, generic)": values},
-                )
+                return {"element": w.to_text(), "values (methods 1, 2, 4, generic)": values}
     else:
         polynomial = fq.sp_class_measure(n, q)
         for w in (cls.first for cls in descent_classes("C", n)):
             closed = closed_forms.x_k_type_c(w, q)
             if closed != generic.coefficient(w):
-                return timer.report(
-                    "dmp", params,
-                    {"element": w.to_text(), "closed_form": closed,
-                     "lattice": generic.coefficient(w)},
-                )
+                return {"element": w.to_text(), "closed_form": closed,
+                        "lattice": generic.coefficient(w)}
 
     # Every route agreed on every class, so the generic element stands for all.
     shuffle = generic.class_measure()
     bad = first_difference(polynomial.masses, shuffle.masses, key=repr)
     if bad is not None:
-        return timer.report(
-            "dmp", params,
-            {"class": repr(bad), "polynomial_side": polynomial.mass(bad),
-             "shuffle_side": shuffle.mass(bad)},
-        )
-    return timer.report(
-        "dmp", params, None,
-        notes=f"{len(polynomial.masses)} classes compared exactly",
-    )
+        return {"class": repr(bad), "polynomial_side": polynomial.mass(bad),
+                "shuffle_side": shuffle.mass(bad)}
+    return None, f"{len(polynomial.masses)} classes compared exactly"
 
 
-def verify_four_formulas(n: int, k_max: int) -> VerificationReport:
+@check("four_formulas")
+def verify_four_formulas(n: int, k_max: int):
     """The four type A formulas agree pointwise: closed-form methods 1, 2 and
     4 and the per-element alcove count (method 3 is an alias of method 1)."""
-    timer = CheckTimer()
-    params = {"n": n, "k_max": k_max}
     for k in range(1, k_max + 1):
         for w in (cls.first for cls in descent_classes("A", n)):
             values = [closed_forms.x_k_type_a(w, k, method) for method in (1, 2, 4)]
             values.append(cellini.x_k_type_a_lattice(w, k))
             if any(v != values[0] for v in values):
-                return timer.report(
-                    "four_formulas", params,
-                    {"element": w.to_text(), "k": k,
-                     "values (methods 1, 2, 4, lattice)": values},
-                )
-    return timer.report("four_formulas", params, None)
+                return {"element": w.to_text(), "k": k,
+                        "values (methods 1, 2, 4, lattice)": values}
+    return None
 
 
-def verify_measure_totals(cases: tuple[tuple[str, int, int], ...]) -> VerificationReport:
+@check("measure_totals")
+def verify_measure_totals(cases: tuple[tuple[str, int, int], ...]):
     """Coefficients of the generic element are nonnegative and sum to 1."""
-    timer = CheckTimer()
-    params = {"cases": list(cases)}
     for family, n, k in cases:
         rs = _root_system(family, n)
         try:
             cellini.x_k_generic(rs, k)
         except ValueError as exc:  # probability() saw a negative mass or a total other than 1
-            return timer.report(
-                "measure_totals", params,
-                {"family": family, "n": n, "k": k, "issue": str(exc)},
-            )
-    return timer.report("measure_totals", params, None)
+            return {"family": family, "n": n, "k": k, "issue": str(exc)}
+    return None
 
 
 def _orientation_notes(model, measure) -> tuple[dict | None, str]:
@@ -159,163 +139,119 @@ def _orientation_notes(model, measure) -> tuple[dict | None, str]:
     return {"issue": "model matches neither orientation"}, ""
 
 
-def verify_shuffle_model_a(n: int) -> VerificationReport:
+@check("shuffle_model_a")
+def verify_shuffle_model_a(n: int):
     """The two-pile model's exact distribution inverts the type A 2-shuffle."""
-    timer = CheckTimer()
-    params = {"n": n}
     model = shuffles.affine_a_2shuffle_distribution(n)
-    measure = closed_forms.x_k_measure_type_a(n, 2)
-    witness, notes = _orientation_notes(model, measure)
-    return timer.report("shuffle_model_a", params, witness, notes=notes)
+    return _orientation_notes(model, closed_forms.x_k_measure_type_a(n, 2))
 
 
-def verify_shuffle_model_c(n: int, k: int) -> VerificationReport:
+@check("shuffle_model_c")
+def verify_shuffle_model_c(n: int, k: int):
     """The flip-and-riffle model's exact distribution inverts the type C element."""
-    timer = CheckTimer()
-    params = {"n": n, "k": k}
     model = shuffles.affine_c_shuffle_distribution(n, k)
-    measure = closed_forms.x_k_measure_type_c(n, k)
-    witness, notes = _orientation_notes(model, measure)
-    return timer.report("shuffle_model_c", params, witness, notes=notes)
+    return _orientation_notes(model, closed_forms.x_k_measure_type_c(n, k))
 
 
-def verify_histogram_identity(n: int) -> VerificationReport:
+@check("histogram_identity")
+def verify_histogram_identity(n: int):
     """Cyclic-descent histogram on C_n is 2^n times the Eulerian histogram."""
-    timer = CheckTimer()
-    params = {"n": n}
     A, N = descent_histograms(n)
     for r in range(n):
         if N[r] != 2**n * A[r]:
-            return timer.report(
-                "histogram_identity", params,
-                {"r": r, "N_{r+1}": N[r], "2^n A_r": 2**n * A[r]},
-            )
-    return timer.report("histogram_identity", params, None)
+            return {"r": r, "N_{r+1}": N[r], "2^n A_r": 2**n * A[r]}
+    return None
 
 
-def verify_gannon(n: int) -> VerificationReport:
+@check("gannon_law")
+def verify_gannon(n: int):
     """Every shape-multiset class of unimodal permutations has size 2^{l-1}."""
-    timer = CheckTimer()
-    params = {"n": n}
     histogram = unimodal.gannon_histogram(n)
     total = 0
     for key, count in histogram.items():
         total += count
         l = len(key)
         if count != 2 ** (l - 1):
-            return timer.report(
-                "gannon_law", params,
-                {"shapes": repr(key), "count": count, "expected": 2 ** (l - 1)},
-            )
+            return {"shapes": repr(key), "count": count, "expected": 2 ** (l - 1)}
     if total != 2 ** (n - 1):
-        return timer.report(
-            "gannon_law", params, {"total": total, "expected": 2 ** (n - 1)}
-        )
-    return timer.report("gannon_law", params, None)
+        return {"total": total, "expected": 2 ** (n - 1)}
+    return None
 
 
-def verify_unimodal_counts(n_max: int) -> VerificationReport:
-    timer = CheckTimer()
-    params = {"n_max": n_max}
+@check("unimodal_count")
+def verify_unimodal_counts(n_max: int):
     for n in range(1, n_max + 1):
         perms = unimodal.enumerate_unimodal(n)
         if len(set(perms)) != 2 ** (n - 1) or not all(unimodal.is_unimodal(w) for w in perms):
-            return timer.report(
-                "unimodal_count", params, {"n": n, "count": len(set(perms))}
-            )
-    return timer.report("unimodal_count", params, None)
+            return {"n": n, "count": len(set(perms))}
+    return None
 
 
-def verify_transitive_counts(n_max: int) -> VerificationReport:
+@check("transitive_unimodal")
+def verify_transitive_counts(n_max: int):
     """Closed form for unimodal n-cycles against brute-force enumeration."""
-    timer = CheckTimer()
-    params = {"n_max": n_max}
     for n in range(1, n_max + 1):
         brute = sum(1 for w in unimodal.enumerate_unimodal(n) if len(w.cycles()) == 1)
         formula = unimodal.transitive_unimodal_count(n)
         if brute != formula:
-            return timer.report(
-                "transitive_unimodal", params,
-                {"n": n, "brute": brute, "closed_form": formula},
-            )
-    return timer.report("transitive_unimodal", params, None)
+            return {"n": n, "brute": brute, "closed_form": formula}
+    return None
 
 
-def verify_eta(n: int) -> VerificationReport:
+@check("eta_map")
+def verify_eta(n: int):
     """The 2-shuffle-to-unimodal map is 2-to-1, onto, and type preserving."""
-    timer = CheckTimer()
-    params = {"n": n}
     outcomes = shuffles.two_shuffle_outcomes(n)
     images = Counter()
     for outcome in outcomes:
         image = unimodal.eta_map(outcome)
         if cycle_type(outcome.underlying()) != cycle_type(image):
-            return timer.report(
-                "eta_map", params,
-                {"outcome": outcome.to_text(), "image": image.to_text(),
-                 "issue": "unsigned cycle type not preserved"},
-            )
+            return {"outcome": outcome.to_text(), "image": image.to_text(),
+                    "issue": "unsigned cycle type not preserved"}
         images[image] += 1
     unimodal_set = set(unimodal.enumerate_unimodal(n))
     if set(images) != unimodal_set:
-        return timer.report(
-            "eta_map", params, {"issue": "image is not the unimodal set"}
-        )
+        return {"issue": "image is not the unimodal set"}
     bad = [w for w, c in images.items() if c != 2]
     if bad:
-        return timer.report(
-            "eta_map", params,
-            {"issue": "not 2-to-1", "element": bad[0].to_text(),
-             "preimages": images[bad[0]]},
-        )
-    return timer.report("eta_map", params, None)
+        return {"issue": "not 2-to-1", "element": bad[0].to_text(),
+                "preimages": images[bad[0]]}
+    return None
 
 
-def verify_eta_worked_example() -> VerificationReport:
+@check("eta_worked_example")
+def verify_eta_worked_example():
     """The 12-card cut-at-6 interleaving reproduces its printed inverse."""
-    timer = CheckTimer()
     outcome = SignedPermutation.from_text("-6,-5,7,8,-4,9,-3,10,-2,11,-1,12")
-    params = {"outcome": outcome.to_text()}
     intermediate = outcome.inverse().underlying()
     expected = (11, 9, 7, 5, 2, 1, 3, 4, 6, 8, 10, 12)
     if intermediate.images != expected:
-        return timer.report(
-            "eta_worked_example", params,
-            {"intermediate": intermediate.images, "expected": expected},
-        )
+        return {"intermediate": intermediate.images, "expected": expected}
     image = unimodal.eta_map(outcome)
     if not unimodal.is_unimodal(image):
-        return timer.report(
-            "eta_worked_example", params, {"image": image.to_text()}
-        )
-    return timer.report(
-        "eta_worked_example", params, None,
-        notes=f"unsigned inverse {','.join(map(str, expected))}; image {image.to_text()}",
-    )
+        return {"image": image.to_text()}
+    return None, f"unsigned inverse {','.join(map(str, expected))}; image {image.to_text()}"
 
 
-def verify_type_c_product(n_max: int, q: int) -> VerificationReport:
+@check("type_c_product")
+def verify_type_c_product(n_max: int, q: int):
     """Product-formula coefficients count palindromic polynomials by type."""
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    timer = CheckTimer()
-    params = {"n_max": n_max, "q": q}
-    witness = series.slice_witness(
+    return series.slice_witness(
         n_max, lambda n: series.type_c_product_slice(q, n),
         lambda n: {t: mass * q**n for t, mass in fq.sp_class_measure(n, q).masses.items()},
         "enumeration",
     )
-    return timer.report("type_c_product", params, witness)
 
 
-def verify_unimodal_product(n_max: int) -> VerificationReport:
+@check("unimodal_product")
+def verify_unimodal_product(n_max: int):
     """Unimodal permutations by cycle type, read off the type C product at
     q = 2 with each signed type folded into the cycle type of lam + mu and
     each u^n slice halved, against direct enumeration."""
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    timer = CheckTimer()
-    params = {"n_max": n_max}
 
     def product(n: int) -> dict:
         unsigned: Counter = Counter()
@@ -326,21 +262,16 @@ def verify_unimodal_product(n_max: int) -> VerificationReport:
     def enumeration(n: int) -> Counter:
         return Counter(cycle_type(w) for w in unimodal.enumerate_unimodal(n))
 
-    witness = series.slice_witness(n_max, product, enumeration, "enumeration")
-    return timer.report("unimodal_product", params, witness)
+    return series.slice_witness(n_max, product, enumeration, "enumeration")
 
 
-def verify_reciprocity(n: int, q: int, brute: bool = False) -> VerificationReport:
+@check("reciprocity")
+def verify_reciprocity(n: int, q: int, brute: bool = False):
     """Multiset-count reciprocity between moduli q-1 and n."""
-    timer = CheckTimer()
-    params = {"n": n, "q": q, "brute": brute}
     left = von_sterneck(q - 1, n, 0)
     right = von_sterneck(n, q - 1, 0)
     if left != right:
-        return timer.report(
-            "reciprocity", params, {"left": left, "right": right},
-            notes=_RECIPROCITY_NOTE,
-        )
+        return {"left": left, "right": right}, _RECIPROCITY_NOTE
     if brute:
         brute_left = sum(
             1
@@ -353,12 +284,9 @@ def verify_reciprocity(n: int, q: int, brute: bool = False) -> VerificationRepor
             if sum(combo) % n == 0
         )
         if brute_left != left or brute_right != right:
-            return timer.report(
-                "reciprocity", params,
-                {"formula": left, "brute_left": brute_left, "brute_right": brute_right},
-                notes=_RECIPROCITY_NOTE,
-            )
-    return timer.report("reciprocity", params, None, notes=_RECIPROCITY_NOTE)
+            return ({"formula": left, "brute_left": brute_left, "brute_right": brute_right},
+                    _RECIPROCITY_NOTE)
+    return None, _RECIPROCITY_NOTE
 
 
 def _geometric_convolution(count: int, p: Fraction, j: int) -> Fraction:
@@ -369,7 +297,8 @@ def _geometric_convolution(count: int, p: Fraction, j: int) -> Fraction:
     return binomial(j + count - 1, j) * p**count * (1 - p) ** j
 
 
-def verify_limit_law(n: int, q: int, tolerance: float) -> VerificationReport:
+@check("limit_law")
+def verify_limit_law(n: int, q: int, tolerance: float):
     """Finite-n smoke test for the limiting law of the positive fixed-point count.
 
     The exact marginal of the number of positive 1-cycles under the class
@@ -377,8 +306,6 @@ def verify_limit_law(n: int, q: int, tolerance: float) -> VerificationReport:
     of (q + e - 1)/2 geometrics with parameter 1 - 1/q.  This is a convergence
     check with an engineering tolerance, not an exact identity.
     """
-    timer = CheckTimer()
-    params = {"n": n, "q": q, "tolerance": tolerance}
     e = 1 if q % 2 == 0 else 2
     count = (q + e - 1) // 2
     p = Fraction(q - 1, q)
@@ -392,22 +319,17 @@ def verify_limit_law(n: int, q: int, tolerance: float) -> VerificationReport:
         limit = _geometric_convolution(count, p, j)
         sup = max(sup, abs(float(exact - limit)))
     witness = None if sup <= tolerance else {"sup_norm": sup}
-    return timer.report(
-        "limit_law", params, witness, notes=f"sup-norm distance {sup:.6f}"
-    )
+    return witness, f"sup-norm distance {sup:.6f}"
 
 
-def verify_sampler(
-    n: int, k: int, draws: int, tolerance: float, seed: int
-) -> VerificationReport:
+@check("sampler_sanity")
+def verify_sampler(n: int, k: int, draws: int, tolerance: float, seed: int):
     """Seeded empirical frequencies stay near the exact model distribution.
 
     The draws are counted as raw image tuples; each distinct outcome is then
     validated once, as a ``SignedPermutation``, before it is compared."""
     if draws < 1:
         raise ValueError(f"draws must be positive, got {draws}")
-    timer = CheckTimer()
-    params = {"n": n, "k": k, "draws": draws, "tolerance": tolerance, "seed": seed}
     exact = shuffles.affine_c_shuffle_distribution(n, k)
     rng = random.Random(seed)
     raw = Counter(shuffles.affine_c_images(n, k, rng) for _ in range(draws))
@@ -416,17 +338,12 @@ def verify_sampler(
         try:
             counts[SignedPermutation(images)] = count
         except ValueError as exc:
-            return timer.report(
-                "sampler_sanity", params,
-                {"invalid_outcome": list(images), "draws": count, "issue": str(exc)},
-            )
+            return {"invalid_outcome": list(images), "draws": count, "issue": str(exc)}
     sup = 0.0
     for w in set(exact.coeffs) | set(counts):
         sup = max(sup, abs(counts.get(w, 0) / draws - float(exact.coefficient(w))))
     witness = None if sup <= tolerance else {"sup_norm": sup}
-    return timer.report(
-        "sampler_sanity", params, witness, notes=f"sup-norm deviation {sup:.4f}"
-    )
+    return witness, f"sup-norm deviation {sup:.4f}"
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +355,10 @@ PROFILES = ("quick", "full")
 Cases = tuple[tuple, ...]
 
 
-def _root_system(family: str, n: int) -> cellini.RootSystem:
+def _root_system(family: str, n: int) -> RootSystem:
     if family not in ("A", "C"):
         raise ValueError(f"family must be 'A' or 'C', got {family!r}")
-    return cellini.RootSystem.type_a(n) if family == "A" else cellini.RootSystem.type_c(n)
-
-
-def _verify_cellini(family: str, n: int, k: int, h: int) -> VerificationReport:
-    return cellini.verify_cellini_properties(_root_system(family, n), k, h)
+    return RootSystem.type_a(n) if family == "A" else RootSystem.type_c(n)
 
 
 def _by_profile(*cases: Cases) -> dict[str, Cases]:
@@ -463,60 +376,49 @@ def _reciprocity_cases(top: int, brute_top: int) -> Cases:
 
 
 CHECKS: dict[str, tuple[Callable[..., VerificationReport], dict[str, Cases]]] = {
-    "dmp": (verify_dmp, _by_profile(
-        tuple(("A", n, q) for n in range(1, 5) for q in (2, 3))
-        + tuple(("C", n, q) for n in range(1, 3) for q in (2, 3)),
-        tuple(("A", n, q) for n in range(1, 7) for q in (2, 3, 4, 5))
-        + tuple(("C", n, q) for n in range(1, 5) for q in (2, 3, 5)),
-    )),
-    "four_formulas": (verify_four_formulas, _by_profile(
-        ((4, 4),), tuple((n, 8) for n in range(1, 7)),
-    )),
-    "measure_totals": (verify_measure_totals, _by_profile(
-        ((tuple([("A", n, k) for n in range(2, 5) for k in (2, 3, 4)]
-                + [("C", n, k) for n in range(1, 3) for k in (2, 3, 4)]),),),
-        ((tuple([("A", n, k) for n in range(2, 6) for k in range(1, 9)]
-                + [("C", n, k) for n in range(1, 4) for k in range(1, 9)]),),),
-    )),
-    "cellini_properties": (_verify_cellini, _by_profile(
-        (("A", 3, 2, 2), ("A", 3, 3, 3), ("C", 2, 2, 2), ("C", 2, 3, 2)),
-        (("A", 3, 3, 3),) + tuple((family, n, k, h) for family, n in (("A", 4), ("C", 3))
-                                  for k in (2, 3) for h in (2, 3)),
-    )),
-    "shuffle_model_a": (verify_shuffle_model_a, _by_profile(
-        _singles(range(2, 5)), _singles(range(2, 7)),
-    )),
-    "shuffle_model_c": (verify_shuffle_model_c, _by_profile(
-        tuple((n, k) for n in (1, 2) for k in (2, 3, 4)),
-        tuple((n, k) for n in (1, 2, 3) for k in range(1, 7)),
-    )),
-    "tv_equality": (shuffles.theorem_tv_check, _by_profile(
-        ((2, 2), (3, 2), (3, 4), (4, 2)),
-        tuple((n, k) for n in range(2, 7) for k in (2, 4, 6, 8)),
-    )),
-    "histogram_identity": (verify_histogram_identity, _by_profile(
-        _singles(range(1, 5)), _singles(range(1, 7)),
-    )),
-    "gannon_law": (verify_gannon, _by_profile(_singles(range(1, 8)), _singles(range(1, 11)))),
-    "unimodal_count": (verify_unimodal_counts, _by_profile(((10,),), ((14,),))),
-    "transitive_unimodal": (verify_transitive_counts, _by_profile(((10,),), ((14,),))),
-    "eta_map": (verify_eta, _by_profile(_singles(range(1, 7)), _singles(range(1, 11)))),
-    "eta_worked_example": (verify_eta_worked_example, _by_profile(((),), ((),))),
-    "type_c_product": (verify_type_c_product, _by_profile(
-        ((2, 2), (2, 3)), ((3, 2), (3, 3), (3, 4), (3, 5)),
-    )),
-    "unimodal_product": (verify_unimodal_product, _by_profile(((6,),), ((8,),))),
-    "reiner_identity": (series.reiner_identity_check, _by_profile(((2, 3),), ((3, 4),))),
-    "reciprocity": (verify_reciprocity, _by_profile(
-        _reciprocity_cases(10, 6), _reciprocity_cases(30, 10),
-    )),
-    "limit_law": (verify_limit_law, _by_profile(((8, 2, 0.05),), ((8, 2, 0.05),))),
-    "sampler_sanity": (verify_sampler, _by_profile(
-        ((3, 2, 100_000, 0.02, 20260810),), ((3, 2, 100_000, 0.02, 20260810),),
-    )),
+    function.check_name: (function, _by_profile(*cases))
+    for function, *cases in (
+        (verify_dmp,
+         tuple(("A", n, q) for n in range(1, 5) for q in (2, 3))
+         + tuple(("C", n, q) for n in range(1, 3) for q in (2, 3)),
+         tuple(("A", n, q) for n in range(1, 7) for q in (2, 3, 4, 5))
+         + tuple(("C", n, q) for n in range(1, 5) for q in (2, 3, 5))),
+        (verify_four_formulas, ((4, 4),), tuple((n, 8) for n in range(1, 7))),
+        (verify_measure_totals,
+         ((tuple([("A", n, k) for n in range(2, 5) for k in (2, 3, 4)]
+                 + [("C", n, k) for n in range(1, 3) for k in (2, 3, 4)]),),),
+         ((tuple([("A", n, k) for n in range(2, 6) for k in range(1, 9)]
+                 + [("C", n, k) for n in range(1, 4) for k in range(1, 9)]),),)),
+        (cellini.verify_cellini_properties,
+         ((RootSystem.type_a(3), 2, 2), (RootSystem.type_a(3), 3, 3),
+          (RootSystem.type_c(2), 2, 2), (RootSystem.type_c(2), 3, 2)),
+         ((RootSystem.type_a(3), 3, 3),)
+         + tuple((rs, k, h) for rs in (RootSystem.type_a(4), RootSystem.type_c(3))
+                 for k in (2, 3) for h in (2, 3))),
+        (verify_shuffle_model_a, _singles(range(2, 5)), _singles(range(2, 7))),
+        (verify_shuffle_model_c,
+         tuple((n, k) for n in (1, 2) for k in (2, 3, 4)),
+         tuple((n, k) for n in (1, 2, 3) for k in range(1, 7))),
+        (shuffles.theorem_tv_check,
+         ((2, 2), (3, 2), (3, 4), (4, 2)),
+         tuple((n, k) for n in range(2, 7) for k in (2, 4, 6, 8))),
+        (verify_histogram_identity, _singles(range(1, 5)), _singles(range(1, 7))),
+        (verify_gannon, _singles(range(1, 8)), _singles(range(1, 11))),
+        (verify_unimodal_counts, ((10,),), ((14,),)),
+        (verify_transitive_counts, ((10,),), ((14,),)),
+        (verify_eta, _singles(range(1, 7)), _singles(range(1, 11))),
+        (verify_eta_worked_example, ((),), ((),)),
+        (verify_type_c_product, ((2, 2), (2, 3)), ((3, 2), (3, 3), (3, 4), (3, 5))),
+        (verify_unimodal_product, ((6,),), ((8,),)),
+        (series.reiner_identity_check, ((2, 3),), ((3, 4),)),
+        (verify_reciprocity, _reciprocity_cases(10, 6), _reciprocity_cases(30, 10)),
+        (verify_limit_law, ((8, 2, 0.05),), ((8, 2, 0.05),)),
+        (verify_sampler,
+         ((3, 2, 100_000, 0.02, 20260810),), ((3, 2, 100_000, 0.02, 20260810),)),
+    )
 }
 """Each check's function and, per profile, the argument tuples it is called
-with; every key is the ``check_name`` its function puts on its reports."""
+with, keyed by the ``check_name`` its ``check`` decorator gave it."""
 
 CHECK_ALIASES = {
     "cellini": "cellini_properties",

@@ -214,8 +214,6 @@ class GroupKind(NamedTuple):
         return all_signed_permutations(self.n)
 
     def order(self) -> int:
-        import math
-
         size = math.factorial(self.n)
         return size if self.family == "A" else size * 2**self.n
 
@@ -543,11 +541,6 @@ class GroupAlgebraElement:
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return convolve(self, other)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        return self.kind == other.kind and self.coeffs == other.coeffs
-
     @classmethod
     def delta(cls, kind: GroupKind, w: GroupElement) -> "GroupAlgebraElement":
         return cls(kind, {w: Fraction(1)})
@@ -651,11 +644,6 @@ class ClassMeasure:
 
     def mass(self, t: CycleType | SignedCycleType) -> Fraction:
         return self.masses.get(t, Fraction(0))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClassMeasure):
-            return NotImplemented
-        return self.masses == other.masses
 
     @classmethod
     def from_counts(cls, counts: Mapping, total: int) -> "ClassMeasure":

@@ -1,7 +1,14 @@
-"""Structured pass/fail reports produced by the verification checks."""
+"""Structured pass/fail reports, and the decorator that makes them.
+
+A check is a function decorated with ``check(name)``: it returns only its
+outcome, and the decorator names, times and records the parameters of the
+``VerificationReport`` built from it.
+"""
 
 from __future__ import annotations
 
+import functools
+import inspect
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,28 +66,39 @@ def _jsonify(value: Any) -> Any:
     return str(value)
 
 
-class CheckTimer:
-    """Tiny helper so every check reports a wall-clock duration."""
+def check(name: str) -> Callable[[Callable], Callable[..., VerificationReport]]:
+    """Turn a function that decides one identity into the check ``name``.
 
-    def __init__(self) -> None:
-        self.start = time.perf_counter()
+    The function returns None when the identity holds, its witness dict when
+    it fails, or ``(witness, notes)``.  The decorated function returns the
+    timed report, whose parameters are the call's arguments bound to the
+    function's signature with defaults applied, so
+    ``f(**report.parameters)`` runs the same check again.
+    """
 
-    def report(
-        self,
-        name: str,
-        parameters: dict[str, Any],
-        witness: dict[str, Any] | None,
-        notes: str = "",
-    ) -> VerificationReport:
-        status = "pass" if witness is None else "fail"
-        return VerificationReport(
-            check_name=name,
-            parameters=parameters,
-            status=status,
-            witness=witness,
-            elapsed=time.perf_counter() - self.start,
-            notes=notes,
-        )
+    def decorate(function: Callable) -> Callable[..., VerificationReport]:
+        signature = inspect.signature(function)
+
+        @functools.wraps(function)
+        def wrapper(*args: Any, **kwargs: Any) -> VerificationReport:
+            start = time.perf_counter()
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            outcome = function(*args, **kwargs)
+            witness, notes = outcome if isinstance(outcome, tuple) else (outcome, "")
+            return VerificationReport(
+                check_name=name,
+                parameters=dict(bound.arguments),
+                status="pass" if witness is None else "fail",
+                witness=witness,
+                elapsed=time.perf_counter() - start,
+                notes=notes,
+            )
+
+        wrapper.check_name = name
+        return wrapper
+
+    return decorate
 
 
 def first_difference(left: Mapping, right: Mapping, key: Callable | None = None) -> Any:

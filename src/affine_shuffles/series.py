@@ -36,7 +36,7 @@ from typing import Callable, Mapping
 from .closed_forms import x_k_measure_type_c
 from .fq import count_self_conjugate_irreducibles
 from .perm import SignedCycleType
-from .report import CheckTimer, VerificationReport, first_difference
+from .report import check, first_difference
 
 __all__ = [
     "type_c_product_slice",
@@ -97,7 +97,8 @@ def slice_witness(
     return None
 
 
-def reiner_identity_check(n_max: int, k_max: int) -> VerificationReport:
+@check("reiner_identity")
+def reiner_identity_check(n_max: int, k_max: int):
     """Descent/cycle-type identity on C_n against the type C product.
 
     For each k, the u^n slice of the left side sums binom(n + k - d(w) - 1, n)
@@ -111,8 +112,6 @@ def reiner_identity_check(n_max: int, k_max: int) -> VerificationReport:
         raise ValueError(f"n_max must be positive, got {n_max}")
     if k_max < 1:
         raise ValueError(f"k_max must be positive, got {k_max}")
-    timer = CheckTimer()
-    params = {"n_max": n_max, "k_max": k_max}
     for k in range(1, k_max + 1):
         q = 2 * k - 1
         witness = slice_witness(
@@ -122,5 +121,5 @@ def reiner_identity_check(n_max: int, k_max: int) -> VerificationReport:
             "closed_form",
         )
         if witness is not None:
-            return timer.report("reiner_identity", params, {"k": k, **witness})
-    return timer.report("reiner_identity", params, None)
+            return {"k": k, **witness}
+    return None

@@ -37,7 +37,7 @@ from .perm import (
     descent_histograms,
     type_a_stats,
 )
-from .report import CheckTimer, VerificationReport
+from .report import check
 
 __all__ = [
     "riffle_distribution",
@@ -319,18 +319,13 @@ def tv_affine_c_to_uniform(n: int, k: int) -> Fraction:
     )
 
 
-def theorem_tv_check(n: int, k: int) -> VerificationReport:
+@check("tv_equality")
+def theorem_tv_check(n: int, k: int):
     """Assert TV(affine C k-shuffle, uniform) = TV(k/2-riffle, uniform), exactly."""
-    timer = CheckTimer()
-    params = {"n": n, "k": k}
     if k % 2:
         raise ValueError("the total-variation identity requires even k")
     left = tv_affine_c_to_uniform(n, k)
     right = tv_riffle_to_uniform(n, k // 2)
-    witness = None
     if left != right:
-        witness = {"affine_c_tv": left, "riffle_tv": right}
-    return timer.report(
-        "tv_equality", params, witness,
-        notes=f"both sides {left}" if witness is None else "",
-    )
+        return {"affine_c_tv": left, "riffle_tv": right}
+    return None, f"both sides {left}"

@@ -176,6 +176,25 @@ def test_out_file(tmp_path, capsys):
     assert payload["masses"]["1,2"] == "1/2"
 
 
+@pytest.mark.parametrize("command", [
+    ["measure", "--family", "A", "--n", "2", "--k", "2"],
+    ["verify", "eta_worked_example"],
+    ["sample", "--model", "riffle", "--n", "3", "--seed", "1"],
+    ["unimodal", "--n", "3"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, where):
+    # exit 1 would read as a failed check
+    path = str(tmp_path / "absent" / "x" if where == "missing-directory" else tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", path, *command])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"affine-shuffles: error: cannot write --out {path}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_bad_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["measure", "--family", "Z", "--n", "2", "--k", "2"])

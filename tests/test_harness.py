@@ -1,6 +1,8 @@
 """Verification orchestration: reports, profiles, fault injection."""
 
+import dataclasses
 import hashlib
+import importlib
 import json
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import pytest
 from affine_shuffles import (
     cellini, closed_forms, fq, harness, numth, perm, series, shuffles, unimodal,
 )
+from affine_shuffles.cellini import RootSystem
 from affine_shuffles.harness import (
     CHECKS,
     PROFILES,
@@ -219,7 +222,7 @@ def _misfiled(family, n, moves):
 
 FAULTS = {
     "cellini_properties": (
-        _lost_alcove_point, ("A", 3, 2, 2),
+        _lost_alcove_point, (RootSystem.type_a(3), 2, 2),
         {"identity": "sum_I a_kI |U_I| = k^r", "left": 1, "right": 4},
     ),
     "dmp": (
@@ -325,8 +328,7 @@ quick-profile argument tuple, and the witness of the report that must fail."""
 def cold_caches():
     # Values cached before or under a fault would hide it or leak.
     caches = (perm.descent_classes, closed_forms._type_a_coefficient,
-              closed_forms.x_k_measure_type_a, closed_forms.x_k_measure_type_c,
-              cellini._alcove_wall_sets,
+              closed_forms.x_k_measure_type_c, cellini._alcove_wall_sets,
               cellini.x_k_generic, cellini._lattice_coefficient)
     for cache in caches:
         cache.cache_clear()
@@ -364,7 +366,7 @@ def test_cellini_properties_fails_on_a_wrong_product(monkeypatch):
 
     monkeypatch.setattr(perm, "convolve", moved)
     function, cases = CHECKS["cellini_properties"]
-    args = ("A", 3, 2, 2)
+    args = (RootSystem.type_a(3), 2, 2)
     assert args in cases["quick"]
     report = function(*args)
     assert report.status == "fail"
@@ -467,13 +469,33 @@ def test_verify_all_quick_passes():
         "shuffle_model_c",
         "unimodal_count",
     } <= covered
-    assert (len(reports), report_digest(reports)) == (138, "db74577e42059881")
+    assert (len(reports), report_digest(reports)) == (138, "6b8c6fe65f2484a2")
 
 
 def test_verify_all_full_digest():
     reports = verify_all("full")
     assert all(r.passed for r in reports)
-    assert (len(reports), report_digest(reports)) == (973, "1a6f36d7800e81c5")
+    assert (len(reports), report_digest(reports)) == (973, "e83c30920d1a3279")
+
+
+def test_reports_replay_from_their_parameters():
+    for report in verify_all("quick"):
+        function, _ = CHECKS[report.check_name]
+        replayed = function(**report.parameters)
+        assert replayed == dataclasses.replace(report, elapsed=replayed.elapsed)
+
+
+def test_report_parameters_include_defaults():
+    assert verify_reciprocity(3, 3).parameters["brute"] is False
+
+
+def test_checks_keep_their_names_and_modules():
+    # A check is found by its module and function name, as a call tracer does.
+    for name, (function, _) in CHECKS.items():
+        module = importlib.import_module(function.__module__)
+        assert function.check_name == name
+        assert getattr(module, function.__name__) is function
+        assert function.__name__ in module.__all__
 
 
 def report_digest(reports):

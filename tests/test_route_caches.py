@@ -32,7 +32,6 @@ ROUTE_CACHES = (
     perm.descent_classes,
     closed_forms._type_a_coefficient,
     closed_forms._type_c_coefficient,
-    closed_forms.x_k_measure_type_a,
     closed_forms.x_k_measure_type_c,
     cellini._lattice_coefficient,
     cellini.x_k_generic,
