@@ -11,15 +11,17 @@ Global flags ``--json``, ``--csv``, ``--out PATH`` and ``--decimal DIGITS``
 control output.  All numbers are exact rationals rendered as "a/b" unless
 ``--decimal`` asks for rounded decimals.  Exit status is 1 iff a verification
 check failed, and 2 for a usage error or an ``--out`` path that cannot be
-written.
+written; such a path is refused before the command runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import random
 import re
 import sys
@@ -41,6 +43,28 @@ class _Output:
         self.as_csv = args.csv
         self.path = args.out
         self.decimal = args.decimal
+        if self.path:
+            self._refuse_unwritable()
+
+    def _refuse_unwritable(self) -> None:
+        # Before the command runs, and without creating the file; emit still
+        # handles a path that stops being writable in between.
+        parent = os.path.dirname(os.path.abspath(self.path))
+        if os.path.isdir(self.path):
+            self._cannot_write(os.strerror(errno.EISDIR))
+        if os.path.exists(self.path):
+            if not os.access(self.path, os.W_OK):
+                self._cannot_write(os.strerror(errno.EACCES))
+        elif not os.path.isdir(parent):
+            self._cannot_write(os.strerror(errno.ENOENT))
+        elif not os.access(parent, os.W_OK):
+            self._cannot_write(os.strerror(errno.EACCES))
+
+    def _cannot_write(self, reason: str) -> None:
+        # exit 1 means a check failed, so an unwritable path exits 2
+        print(f"affine-shuffles: error: cannot write --out {self.path}: {reason}",
+              file=sys.stderr)
+        raise SystemExit(2) from None
 
     def emit(self, text: str) -> None:
         # Empty output stays empty: a line reader would take "\n" as one empty record.
@@ -51,10 +75,7 @@ class _Output:
                 with open(self.path, "w", encoding="utf-8") as handle:
                     handle.write(text)
             except OSError as exc:
-                # exit 1 means a check failed, so an unwritable path exits 2
-                print(f"affine-shuffles: error: cannot write --out {self.path}: {exc.strerror}",
-                      file=sys.stderr)
-                raise SystemExit(2) from None
+                self._cannot_write(exc.strerror)
         else:
             sys.stdout.write(text)
 

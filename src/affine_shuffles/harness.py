@@ -326,13 +326,17 @@ def verify_limit_law(n: int, q: int, tolerance: float):
 def verify_sampler(n: int, k: int, draws: int, tolerance: float, seed: int):
     """Seeded empirical frequencies stay near the exact model distribution.
 
-    The draws are counted as raw image tuples; each distinct outcome is then
-    validated once, as a ``SignedPermutation``, before it is compared."""
+    The block reader counts the pick tuples of the draws over the model's
+    plan (bounds up to 255, so n, k <= 255); each distinct tuple is merged
+    into images once, and each distinct outcome is validated once, as a
+    ``SignedPermutation``, before it is compared."""
     if draws < 1:
         raise ValueError(f"draws must be positive, got {draws}")
+    picks = shuffles.count_picks(shuffles.riffle_plan(n, k), draws, random.Random(seed))
+    raw: Counter[tuple[int, ...]] = Counter()
+    for pick, count in picks.items():
+        raw[shuffles.affine_c_images(n, k, pick)] += count
     exact = shuffles.affine_c_shuffle_distribution(n, k)
-    rng = random.Random(seed)
-    raw = Counter(shuffles.affine_c_images(n, k, rng) for _ in range(draws))
     counts = {}
     for images, count in raw.items():
         try:

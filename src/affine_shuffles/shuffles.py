@@ -11,11 +11,23 @@ Conventions, fixed once and validated against the closed-form measures:
 
 Each exact distribution is enumerated as a probability element of the group
 algebra (``GroupAlgebraElement.probability``), the same type as the x_k
-elements it inverts.  The samplers draw through one kernel on plain tuples,
-``_riffle_images``, with a caller-supplied seeded generator, never global
-randomness; the exact side and the sampler side share only the cut stacks of
-``_stacks_for_cut``.  A draw's ``rng.randrange`` calls (arguments and order)
-fix its outcome for a seed, and tests pin the streams of all three samplers.
+elements it inverts.  A sampler's draw has two parts:
+
+* its *plan*, the fixed tuple of ``randrange`` bounds it makes, in call
+  order: a stack per card, then the cards left, ``(k,)*n + (n, ..., 1)``, for
+  the riffle and flip-and-riffle models (``riffle_plan``); the total cut
+  weight, then the cards left, for the two-pile model;
+* its *picks*, one value below each bound, which the one merge kernel,
+  ``_riffle_images``, turns into one-line images on plain tuples.
+
+A single draw takes its picks from ``rng.randrange`` over the plan, with a
+caller-supplied seeded generator, never global randomness; tests pin the
+streams of all three samplers.  The block reader ``count_picks`` counts the
+picks of many draws at once: it reads the generator's 32-bit words a bounded
+block at a time and scans their top bytes with one regular expression per
+plan that rejects as ``randrange`` does, so its counts are those of the same
+draws made one by one.  The exact side and the sampler side share only the
+cut stacks of ``_stacks_for_cut``.
 """
 
 from __future__ import annotations
@@ -23,6 +35,8 @@ from __future__ import annotations
 import functools
 import math
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -132,14 +146,13 @@ def _merge(stacks: Sequence[Sequence[int]], word: tuple[int, ...]) -> tuple[int,
     return tuple(out)
 
 
-def _riffle_images(stacks: Sequence[Sequence[int]], rng: random.Random) -> tuple[int, ...]:
-    # The draw kernel: drop the top card of a stack chosen with probability
-    # proportional to its remaining size (uniform over interleavings), straight
-    # into the one-line images.  One rng.randrange(cards left) per card.
+def _riffle_images(stacks: Sequence[Sequence[int]], picks: Sequence[int]) -> tuple[int, ...]:
+    # The merge kernel: each pick, below the number of cards left, drops the
+    # top card of the stack it falls in when the stacks are laid end to end by
+    # remaining size.  Uniform picks make every interleaving equally likely.
     left = [len(stack) for stack in stacks]
     out = []
-    for total in range(sum(left), 0, -1):
-        pick = rng.randrange(total)
+    for pick in picks:
         s = 0
         while pick >= left[s]:
             pick -= left[s]
@@ -149,14 +162,24 @@ def _riffle_images(stacks: Sequence[Sequence[int]], rng: random.Random) -> tuple
     return tuple(out)
 
 
-def _multinomial_cut(
-    n: int, k: int, flip_odd_indexed: bool | None, rng: random.Random
-) -> tuple[tuple[int, ...], ...]:
-    # Each card goes to one of k stacks, one rng.randrange(k) per card.
+def riffle_plan(n: int, k: int) -> tuple[int, ...]:
+    """The ``randrange`` bounds of one riffle or flip-and-riffle draw, in call
+    order: a stack for each card, then the cards left as they are dropped."""
+    return (k,) * n + tuple(range(n, 0, -1))
+
+
+def _draw_picks(plan: Sequence[int], rng: random.Random) -> list[int]:
+    return [rng.randrange(m) for m in plan]
+
+
+def _cut_and_riffle(
+    n: int, k: int, flip_odd_indexed: bool | None, picks: Sequence[int]
+) -> tuple[int, ...]:
+    # picks[:n] send card i to stack picks[i]; picks[n:] riffle the stacks.
     sizes = [0] * k
-    for _ in range(n):
-        sizes[rng.randrange(k)] += 1
-    return _stacks_for_cut(tuple(sizes), flip_odd_indexed)
+    for s in picks[:n]:
+        sizes[s] += 1
+    return _riffle_images(_stacks_for_cut(tuple(sizes), flip_odd_indexed), picks[n:])
 
 
 def riffle_sample(n: int, k: int, rng: random.Random) -> Permutation:
@@ -165,7 +188,62 @@ def riffle_sample(n: int, k: int, rng: random.Random) -> Permutation:
     The physical cut-and-interleave process produces the inverse orientation,
     so the merged deck is inverted before returning.
     """
-    return Permutation(_riffle_images(_multinomial_cut(n, k, None, rng), rng)).inverse()
+    images = _cut_and_riffle(n, k, None, _draw_picks(riffle_plan(n, k), rng))
+    return Permutation(images).inverse()
+
+
+# Words per block of the block reader: 128 KiB of generator output at a time.
+_BLOCK_WORDS = 1 << 15
+
+
+@functools.lru_cache(maxsize=16)
+def _plan_scanner(plan: tuple[int, ...]) -> tuple[re.Pattern[bytes], bytes, tuple[int, ...]]:
+    # randrange(m) reads b = m.bit_length() top bits of a word and rejects a
+    # value >= m.  Every top byte is cut down to its top B bits (B, the widest
+    # b in the plan), where a step of width b accepts the values below
+    # m << (B - b): one "[reject]*(accept)" per bound.  Each byte is accepted
+    # or rejected by every step, so a scan can only stop at the end of input.
+    for m in plan:
+        if not 1 <= m <= 255:
+            raise ValueError(f"randrange bound {m} is outside 1..255, "
+                             "the bounds the top byte of a word can read")
+    widths = [m.bit_length() for m in plan]
+    top = max(widths)
+    steps = []
+    for m, b in zip(plan, widths):
+        low = m << (top - b)
+        steps.append(b"[\\x%02x-\\x%02x]*([\\x00-\\x%02x])" % (low, (1 << top) - 1, low - 1))
+    table = bytes(v >> (8 - top) for v in range(256))
+    return re.compile(b"".join(steps)), table, tuple(top - b for b in widths)
+
+
+def count_picks(plan: tuple[int, ...], draws: int, rng: random.Random) -> Counter[tuple[int, ...]]:
+    """How often each pick tuple occurs in ``draws`` successive draws over
+    ``plan``, the draws ``[rng.randrange(m) for m in plan]`` would make one
+    by one, for bounds up to 255.
+
+    The generator's 32-bit words are read ``_BLOCK_WORDS`` at a time
+    (``getrandbits`` returns them least significant first) and scanned as
+    top bytes; the unmatched tail of a block is carried into the next.
+    """
+    pattern, table, shifts = _plan_scanner(plan)
+    stride = len(plan) + 1
+    found: Counter[tuple[bytes, ...]] = Counter()
+    tail = b""
+    left = draws
+    while left > 0:
+        words = rng.getrandbits(32 * _BLOCK_WORDS).to_bytes(4 * _BLOCK_WORDS, "little")
+        # split gives [gap, picks..., gap, picks..., tail]; matches never skip
+        parts = pattern.split(tail + words[3::4].translate(table), left)
+        if any(parts[0:-1:stride]):
+            raise RuntimeError("block reader lost its place: a draw began past the last one's end")
+        found.update(zip(*(parts[j::stride] for j in range(1, stride))))
+        left -= len(parts) // stride
+        tail = parts[-1]
+    counts: Counter[tuple[int, ...]] = Counter()
+    for key, count in found.items():
+        counts[tuple(byte[0] >> shift for byte, shift in zip(key, shifts))] += count
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +278,13 @@ def affine_c_shuffle_distribution(n: int, k: int) -> GroupAlgebraElement:
 
 def affine_c_shuffle_sample(n: int, k: int, rng: random.Random) -> SignedPermutation:
     """One draw from the flip-and-riffle model, via the supplied generator."""
-    return SignedPermutation(affine_c_images(n, k, rng))
+    return SignedPermutation(affine_c_images(n, k, _draw_picks(riffle_plan(n, k), rng)))
 
 
-def affine_c_images(n: int, k: int, rng: random.Random) -> tuple[int, ...]:
-    """The one-line images of one flip-and-riffle draw, not yet validated:
-    the draw ``affine_c_shuffle_sample`` makes, as a plain tuple."""
-    return _riffle_images(_multinomial_cut(n, k, k % 2 == 0, rng), rng)
+def affine_c_images(n: int, k: int, picks: Sequence[int]) -> tuple[int, ...]:
+    """The one-line images of the flip-and-riffle draw with these picks over
+    ``riffle_plan(n, k)``, not yet validated."""
+    return _cut_and_riffle(n, k, k % 2 == 0, picks)
 
 
 def two_shuffle_outcomes(n: int) -> list[SignedPermutation]:
@@ -254,12 +332,12 @@ def affine_a_2shuffle_distribution(n: int) -> GroupAlgebraElement:
 
 def affine_a_2shuffle_sample(n: int, rng: random.Random) -> Permutation:
     weights = [binomial(n, 2 * j) for j in range(0, n // 2 + 1)]
-    pick = rng.randrange(sum(weights))
+    pick, *picks = _draw_picks((sum(weights),) + tuple(range(n, 0, -1)), rng)
     for j, weight in enumerate(weights):
         if pick < weight:
             break
         pick -= weight
-    return Permutation(_riffle_images(_affine_a_second_pile(n, j), rng))
+    return Permutation(_riffle_images(_affine_a_second_pile(n, j), picks))
 
 
 # ---------------------------------------------------------------------------

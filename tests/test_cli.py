@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from affine_shuffles import harness
 from affine_shuffles.cli import main
 from affine_shuffles.harness import CHECKS
 
@@ -193,6 +194,38 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command, where):
     assert captured.out == ""
     assert captured.err.startswith(f"affine-shuffles: error: cannot write --out {path}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_refused_before_the_command_runs(tmp_path, capsys, monkeypatch, where):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the checks ran before --out was refused")
+
+    monkeypatch.setattr(harness, "run_checks", must_not_run)
+    path = str(tmp_path / "absent" / "x" if where == "missing-directory" else tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", path, "verify", "all", "--profile", "full"])
+    assert exc.value.code == 2
+    reason = "No such file or directory" if where == "missing-directory" else "Is a directory"
+    assert capsys.readouterr().err == f"affine-shuffles: error: cannot write --out {path}: {reason}\n"
+    assert not (tmp_path / "absent").exists()
+
+
+def test_out_path_that_goes_away_while_the_command_runs_exits_2(tmp_path, capsys, monkeypatch):
+    run_checks = harness.run_checks
+
+    def remove_directory_first(*args):
+        (tmp_path / "sub").rmdir()
+        return run_checks(*args)
+
+    (tmp_path / "sub").mkdir()
+    monkeypatch.setattr(harness, "run_checks", remove_directory_first)
+    path = str(tmp_path / "sub" / "x")
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", path, "verify", "eta_worked_example"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"affine-shuffles: error: cannot write --out {path}: No such file or directory\n")
 
 
 def test_bad_arguments_exit_2(capsys):

@@ -165,12 +165,12 @@ def _partition_count_off_in_one_box(monkeypatch):
 
 
 def _relabelled_kernel_outcome(source, target):
-    # The riffle kernel reports each draw of ``source`` as ``target``.
+    # The merge kernel reports each merge into ``source`` as ``target``.
     def fault(monkeypatch):
         kernel = shuffles._riffle_images
 
-        def relabelled(stacks, rng):
-            images = kernel(stacks, rng)
+        def relabelled(stacks, picks):
+            images = kernel(stacks, picks)
             return target if images == source else images
 
         monkeypatch.setattr(shuffles, "_riffle_images", relabelled)
@@ -406,6 +406,14 @@ def test_sampler_check_small():
 def test_sampler_rejects_no_draws(draws):
     with pytest.raises(ValueError, match="draws must be positive"):
         verify_sampler(3, 2, draws, 0.02, 1)
+
+
+@pytest.mark.parametrize("n, k", [(256, 2), (3, 256), (300, 300)])
+def test_sampler_refuses_bounds_past_one_byte(monkeypatch, n, k):
+    # refused before any draw, and before the exact side enumerates k^n n! merges
+    monkeypatch.setattr(shuffles, "affine_c_shuffle_distribution", None)
+    with pytest.raises(ValueError, match=f"randrange bound {max(n, k)} is outside 1..255"):
+        verify_sampler(n, k, 10, 0.02, 1)
 
 
 def test_sampler_sanity_reports_an_invalid_outcome(monkeypatch):

@@ -1,6 +1,8 @@
 """Card-shuffling models, their exact distributions, and total variation."""
 
+import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -191,9 +193,10 @@ def test_sampler_stream_is_pinned(draw, expected):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_kernel_draws_are_merges_of_the_stacks(n):
-    # Every tuple the kernel returns is a valid signed permutation, and one of
-    # the merges the exact side enumerates for the same stacks.
-    rng = random.Random(n)
+    # Over every pick tuple (one value below each count of cards left), the
+    # kernel returns valid signed permutations, exactly the merges the exact
+    # side enumerates for the same stacks, each equally often.
+    picks = list(itertools.product(*(range(left) for left in range(n, 0, -1))))
     cases = [_affine_a_second_pile(n, j) for j in range(n // 2 + 1)]
     cases += [
         shuffles._stacks_for_cut(sizes, flip)
@@ -205,10 +208,76 @@ def test_kernel_draws_are_merges_of_the_stacks(n):
         merges = {
             shuffles._merge(stacks, word) for word in shuffles._multiset_permutations(sizes)
         }
-        for _ in range(10):
-            images = shuffles._riffle_images(stacks, rng)
+        counts = Counter(shuffles._riffle_images(stacks, p) for p in picks)
+        assert set(counts) == merges
+        assert len(set(counts.values())) == 1
+        for images in counts:
             assert SignedPermutation(images).images == images
-            assert images in merges
+
+
+# --- the block reader ------------------------------------------------------------
+
+READER_PLANS = [(1,), (2,), (255,), (3, 1, 4), (7, 128, 2), (129, 255, 1, 3),
+                (1, 2, 3, 4, 7, 128, 129, 255), shuffles.riffle_plan(3, 2)]
+
+
+def one_by_one(plan, draws, rng):
+    return Counter(tuple(rng.randrange(m) for m in plan) for _ in range(draws))
+
+
+@pytest.mark.parametrize("plan", READER_PLANS, ids=str)
+@pytest.mark.parametrize("draws", [1, 40, 20_000], ids=lambda d: f"draws={d}")
+def test_block_reader_counts_the_draws_made_one_by_one(plan, draws):
+    # 20,000 draws of the widest plan read several default blocks
+    for seed in (0, 1, 2026):
+        counts = shuffles.count_picks(plan, draws, random.Random(seed))
+        assert counts == one_by_one(plan, draws, random.Random(seed))
+        assert counts.total() == draws
+
+
+@pytest.mark.parametrize("words", [1, 3, 5])
+@pytest.mark.parametrize("plan", READER_PLANS, ids=str)
+def test_block_reader_carries_draws_across_blocks(monkeypatch, plan, words):
+    # blocks of a few words: most draws straddle a refill
+    monkeypatch.setattr(shuffles, "_BLOCK_WORDS", words)
+    for seed in (0, 7):
+        counts = shuffles.count_picks(plan, 300, random.Random(seed))
+        assert counts == one_by_one(plan, 300, random.Random(seed))
+
+
+def test_generator_reads_as_the_block_reader_assumes():
+    # count_picks assumes CPython's Mersenne Twister: getrandbits(32 * c) holds
+    # the next c 32-bit words, least significant first, and randrange(m) takes
+    # the top m.bit_length() bits of one word, drawing again while they are >= m.
+    assumption = "random.Random no longer reads words as shuffles.count_picks assumes"
+    blocks, words = random.Random(5), random.Random(5)
+    for c in (1, 2, 7, 64):
+        block = blocks.getrandbits(32 * c)
+        assert block == sum(words.getrandbits(32) << (32 * i) for i in range(c)), assumption
+    calls, bits = random.Random(11), random.Random(11)
+    for m in (1, 2, 3, 4, 7, 128, 129, 255) * 50:
+        value = bits.getrandbits(32) >> (32 - m.bit_length())
+        while value >= m:
+            value = bits.getrandbits(32) >> (32 - m.bit_length())
+        assert calls.randrange(m) == value, assumption
+
+
+def test_block_reader_refuses_a_scan_that_skips_input(monkeypatch):
+    # a scanner that accepts only top bit 0 and rejects nothing skips each 1
+    scanner = (re.compile(b"(\\x00)"), bytes(v >> 7 for v in range(256)), (0,))
+    monkeypatch.setattr(shuffles, "_plan_scanner", lambda plan: scanner)
+    with pytest.raises(RuntimeError, match="block reader lost its place"):
+        shuffles.count_picks((1,), 100, random.Random(3))
+
+
+@pytest.mark.parametrize("plan, bound", [((0,), 0), ((2, 256), 256), ((3, 1000, 1), 1000)],
+                         ids=str)
+def test_block_reader_refuses_bounds_past_one_byte(plan, bound):
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"randrange bound {bound} is outside 1..255"):
+        shuffles.count_picks(plan, 10, rng)
+    assert rng.getstate() == state
 
 
 # --- total variation --------------------------------------------------------------
