@@ -22,11 +22,8 @@ from .perm import (
     type_c_stats,
 )
 from .numth import (
-    IntPolynomial,
-    aperiodic_necklaces_with_sum,
     bounded_partition_count,
     mobius,
-    q_binomial,
     ramanujan_sum,
     von_sterneck,
 )

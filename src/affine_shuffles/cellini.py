@@ -46,7 +46,6 @@ from typing import Iterable, Iterator
 
 from .perm import (
     GroupAlgebraElement,
-    GroupElement,
     GroupKind,
     Permutation,
     descent_classes,
@@ -129,9 +128,6 @@ class RootSystem:
         if self.family == "A":
             return GroupKind("A", self.rank + 1)
         return GroupKind("C", self.rank)
-
-    def group_elements(self) -> Iterator[GroupElement]:
-        return self.kind().elements()
 
 
 def _dot(u: Vector, v: Vector) -> int:

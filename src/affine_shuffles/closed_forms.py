@@ -5,10 +5,10 @@ cyclic descent number cd(w) and the major index maj(w), selected by
 ``method``:
 
 1. partitions with at most n-1 parts, each at most k - cd(w), of size
-   congruent to -maj(w) mod n, divided by k^{n-1}; this is a residue sum of
-   the coefficients of the Gaussian binomial ``q_binomial(k+n-cd-1, n-1)``;
+   congruent to -maj(w) mod n, divided by k^{n-1}; ``bounded_partition_count``
+   counts the box by size mod n, in n integers however large k is;
 2. the transposed count (at most k - cd(w) parts, each at most n-1), equal
-   to method 1 only by the symmetry of the q-binomial;
+   to method 1 only by the symmetry of the Gaussian binomial;
 4. a Ramanujan-sum expression via the von Sterneck count, with two special
    branches at k = cd(w).
 

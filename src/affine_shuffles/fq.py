@@ -7,8 +7,9 @@ stripped.  Everything is deterministic: the modulus of F_{p^e} is the
 lexicographically smallest monic irreducible of degree e (coefficients
 compared low-degree first as integers), the irreducibles of each degree are
 sieved by marking every product of irreducibles of lower degree with the
-walk below, and all arithmetic is exact.  Polynomial division, the
-irreducibility test and ``factor`` share one long-division kernel that works
+walk below, and all arithmetic is exact.  A modulus passed to
+``FieldContext`` is checked by membership in the prime field's sieve.
+Polynomial division and ``factor`` share one long-division kernel that works
 on coefficient codes through the field's operation tables.
 
 The class measures factor nothing.  By unique factorization each reducible
@@ -52,7 +53,6 @@ __all__ = [
     "make_field",
     "prime_power",
     "factor",
-    "is_irreducible",
     "count_irreducibles",
     "conjugate_poly",
     "count_self_conjugate_irreducibles",
@@ -88,9 +88,12 @@ class FieldContext:
         self.modulus = tuple(c % p for c in modulus[:-1]) + (1,)
         self._irreducibles: dict[int, tuple["FqPoly", ...]] = {}
         self._self_conjugates: dict[int, tuple["FqPoly", ...]] = {}
+        if e > 1:
+            # before the tables: a reducible modulus has no inverse table
+            prime = make_field(p, 1)
+            if prime.poly(self.modulus) not in prime.irreducibles(e):
+                raise ValueError(f"modulus {self.modulus} is reducible over F_{p}")
         self._build_tables()
-        if e > 1 and not is_irreducible(make_field(p, 1).poly(self.modulus)):
-            raise ValueError(f"modulus {self.modulus} is reducible over F_{p}")
 
     def _build_tables(self) -> None:
         p, e, q = self.p, self.e, self.q
@@ -324,17 +327,6 @@ def _long_division(field: FieldContext, a: tuple, dv: tuple) -> tuple[list[int],
             for j, y in terms:
                 rem[i + j] = sub[rem[i + j]][row[y]]
     return quot, rem[:dd]
-
-
-def is_irreducible(f: FqPoly) -> bool:
-    """Trial-division irreducibility test against the sieved cache."""
-    if f.degree < 1:
-        return False
-    return all(
-        any(_long_division(f.field, f.coeffs, g.coeffs)[1])
-        for d in range(1, f.degree // 2 + 1)
-        for g in f.field.irreducibles(d)
-    )
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,25 @@
 """Number-theoretic kernels, all in exact integer arithmetic.
 
 Nothing here touches floating point: Ramanujan sums go through the divisor
-formula, q-binomials are integer polynomials built from the Pascal-type
-recurrence, and necklace counts come from exact polynomial coefficient
-extraction.
+formula, von Sterneck counts are divided exactly, and the partitions in a box
+are counted by size mod m with the Gaussian recurrence reduced mod z^m - 1,
+so the table has m entries however large the box.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
 
 __all__ = [
-    "IntPolynomial",
     "power",
     "mobius",
     "divisors",
     "binomial",
     "ramanujan_sum",
     "von_sterneck",
-    "q_binomial",
     "bounded_partition_count",
-    "aperiodic_necklaces_with_sum",
 ]
 
 
@@ -131,69 +128,22 @@ def von_sterneck(m: int, k: int, n: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Dense integer polynomial, coefficients indexed by exponent, trimmed."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        trimmed = list(self.coeffs)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        object.__setattr__(self, "coeffs", tuple(trimmed))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, exponent: int) -> int:
-        if 0 <= exponent < len(self.coeffs):
-            return self.coeffs[exponent]
-        return 0
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(tuple(out))
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(tuple(out))
-
-    def __pow__(self, exponent: int) -> "IntPolynomial":
-        return power(self, exponent, IntPolynomial((1,)))
-
-    def shift(self, amount: int) -> "IntPolynomial":
-        return IntPolynomial((0,) * amount + self.coeffs)
-
-
 @lru_cache(maxsize=1024)
-def q_binomial(a: int, b: int) -> IntPolynomial:
-    """Gaussian binomial coefficient as a polynomial in q.
-
-    Built from the recurrence qb(a, b) = qb(a-1, b-1) + q^b qb(a-1, b), which
-    keeps everything in nonnegative integers.  Degree is b(a-b).
-
-    >>> q_binomial(4, 2).coeffs
-    (1, 1, 2, 1, 1)
-    """
-    if b < 0 or b > a:
-        raise ValueError(f"require 0 <= b <= a, got a={a} b={b}")
-    if b == 0 or b == a:
-        return IntPolynomial((1,))
-    return q_binomial(a - 1, b - 1) + q_binomial(a - 1, b).shift(b)
+def _box_residues(a: int, b: int, m: int) -> tuple[int, ...]:
+    # Entry r counts the partitions in an a-by-b box of size = r mod m, by
+    # the Gaussian recurrence P(i, j) = P(i-1, j) + z^i P(i, j-1) in
+    # Z[z]/(z^m - 1), where z^i rotates the tuple by i mod m.  Row j holds
+    # P(0..a, j); only the previous row is kept.
+    unit = (1,) + (0,) * (m - 1)
+    row = [unit] * (a + 1)
+    for _ in range(b):
+        new = [unit]
+        for i in range(1, a + 1):
+            s = i % m
+            prev = row[i]
+            new.append(tuple(map(operator.add, new[-1], prev[-s:] + prev[:-s])))
+        row = new
+    return row[a]
 
 
 def bounded_partition_count(max_parts: int, max_part: int, modulus: int, residue: int) -> int:
@@ -201,48 +151,20 @@ def bounded_partition_count(max_parts: int, max_part: int, modulus: int, residue
     whose size is congruent to ``residue`` mod ``modulus``.
 
     The generating function for partitions in an a-by-b box is the Gaussian
-    binomial qb(a+b, a), so this is a coefficient-residue sum.  Negative box
-    dimensions admit no partitions at all (not even the empty one): the
-    closed-form measures need that reading for k below the cyclic descent
-    number.
+    binomial qb(a+b, a); its coefficients are summed by residue as it is
+    built, so no polynomial of degree ab is formed.  Negative box dimensions
+    admit no partitions at all (not even the empty one): the closed-form
+    measures need that reading for k below the cyclic descent number.
+
+    >>> bounded_partition_count(2, 2, 3, 0)  # (), (2, 1)
+    2
+    >>> [bounded_partition_count(2, 3, 4, r) for r in range(4)]
+    [3, 2, 3, 2]
+    >>> bounded_partition_count(2, -1, 3, 0)
+    0
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if max_parts < 0 or max_part < 0:
         return 0
-    poly = q_binomial(max_parts + max_part, max_parts)
-    r = residue % modulus
-    return sum(c for e, c in enumerate(poly.coeffs) if e % modulus == r)
-
-
-def _necklace_content_poly(k: int, d: int, copies: int) -> IntPolynomial:
-    # (1 + z^d + z^{2d} + ... + z^{(k-1)d}) ** copies, exactly.
-    base = [0] * ((k - 1) * d + 1)
-    for j in range(k):
-        base[j * d] = 1
-    return IntPolynomial(tuple(base)) ** copies
-
-
-def aperiodic_necklaces_with_sum(k: int, i: int, m: int) -> int:
-    """Aperiodic necklaces of size i over {0..k-1} with total symbol sum m.
-
-    Moebius sum (1/i) sum_{d|i} mu(d) f(m, k, i, d), where f is the coefficient
-    of z^m in ((z^{kd}-1)/(z^d-1))^{i/d}.
-
-    >>> aperiodic_necklaces_with_sum(2, 3, 1)
-    1
-    >>> aperiodic_necklaces_with_sum(2, 3, 0)
-    0
-    """
-    if k < 1 or i < 1:
-        raise ValueError("k and i must be positive")
-    total = 0
-    for d in divisors(i):
-        mu = mobius(d)
-        if mu == 0:
-            continue
-        total += mu * _necklace_content_poly(k, d, i // d).coefficient(m)
-    count, rem = divmod(total, i)
-    if rem != 0 or count < 0:
-        raise ArithmeticError(f"necklace Moebius sum not divisible: k={k} i={i} m={m}")
-    return count
+    return _box_residues(max_parts, max_part, modulus)[residue % modulus]

@@ -57,6 +57,7 @@ __all__ = [
     "type_a_stats",
     "type_c_stats",
     "cycle_type",
+    "HistogramPair",
     "descent_histograms",
     "all_permutations",
     "all_signed_permutations",

@@ -55,13 +55,17 @@ from .report import check
 
 __all__ = [
     "riffle_distribution",
+    "riffle_plan",
     "riffle_sample",
+    "count_picks",
     "affine_c_shuffle_distribution",
     "affine_c_shuffle_sample",
+    "affine_c_images",
     "affine_a_2shuffle_distribution",
     "affine_a_2shuffle_sample",
     "two_shuffle_outcomes",
     "total_variation",
+    "uniform_distribution",
     "tv_riffle_to_uniform",
     "tv_affine_c_to_uniform",
     "theorem_tv_check",

@@ -32,6 +32,15 @@ def test_measure_single_element(capsys):
     assert out.strip() == "1/3"
 
 
+def test_measure_single_element_at_large_k(capsys):
+    code, out = run(
+        capsys, "measure", "--family", "A", "--n", "8", "--k", "1000",
+        "--element", "2,1,3,4,5,6,7,8",
+    )
+    assert code == 0
+    assert out.strip() == "50301098211469/2000000000000000000"
+
+
 def test_measure_element_with_leading_minus(capsys):
     # argparse alone would read "-1,2" as an option and exit 2, also after an
     # abbreviated --element

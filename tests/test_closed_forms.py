@@ -57,6 +57,17 @@ def test_methods_agree_pairwise():
                 assert len(values) == 1, (n, k, w)
 
 
+@pytest.mark.parametrize("k", [600, 1200, 5000])
+def test_partition_methods_reach_large_k(k):
+    # the box has k - cd(w) columns; a count that recursed once per column
+    # ran out of stack here
+    for text in ("1,2,3,4,5,6,7,8", "2,1,3,4,5,6,7,8", "8,7,6,5,4,3,2,1", "3,1,4,8,5,2,7,6"):
+        w = perm(text)
+        expected = x_k_type_a(w, k, 4)
+        assert x_k_type_a(w, k, 1) == expected, (text, k)
+        assert x_k_type_a(w, k, 2) == expected, (text, k)
+
+
 def test_methods_agree_with_lattice_and_generic():
     for n in range(2, 5):
         for k in range(1, 7):

@@ -17,7 +17,6 @@ from affine_shuffles.fq import (
     count_irreducibles,
     count_self_conjugate_irreducibles,
     factor,
-    is_irreducible,
     make_field,
     prime_power,
     sl_class_measure,
@@ -39,6 +38,17 @@ def poly(field, text):
     return FqPoly.from_text(field, text)
 
 
+def is_irreducible(f):
+    """Trial division by every sieved irreducible of degree up to half of f's."""
+    if f.degree < 1:
+        return False
+    return all(
+        divmod(f, g)[1].coeffs
+        for d in range(1, f.degree // 2 + 1)
+        for g in f.field.irreducibles(d)
+    )
+
+
 # --- field construction -----------------------------------------------------
 
 def test_make_field_moduli():
@@ -53,7 +63,7 @@ def test_make_field_rejects_composite_characteristic():
 
 
 def test_field_context_rejects_reducible_modulus():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("modulus (1, 0, 1) is reducible over F_2")):
         FieldContext(2, 2, (1, 0, 1))  # z^2 + 1 = (z+1)^2 over F_2
 
 
@@ -227,10 +237,10 @@ def test_sieve_guard_rejects_a_repeated_product():
 
 
 def test_sieve_does_not_test_irreducibility(monkeypatch):
-    def refuse(f):
-        raise AssertionError(f"the sieve called is_irreducible({f!r})")
+    def refuse(field, a, dv):
+        raise AssertionError(f"the sieve divided {a!r} by {dv!r}")
 
-    monkeypatch.setattr(fq, "is_irreducible", refuse)
+    monkeypatch.setattr(fq, "_long_division", refuse)
     field = FieldContext(3, 1, (0, 1))
     for degree in range(1, 7):
         assert len(field.irreducibles(degree)) == count_irreducibles(degree, 3)
@@ -252,6 +262,18 @@ SCAN_GRID = ((F2, 10), (F3, 6), (F4, 5), (F5, 4), (F7, 3), (F8, 3), (F9, 3), (F9
 def test_sieve_matches_division_by_every_monic(field, top):
     for degree in range(1, top + 1):
         assert field.irreducibles(degree) == scanned_irreducibles(field, degree), degree
+
+
+@pytest.mark.parametrize("p, e", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+def test_field_context_accepts_exactly_the_irreducible_moduli(p, e):
+    prime = make_field(p, 1)
+    irreducible = scanned_irreducibles(prime, e)
+    for f in prime.all_monic(e):
+        if f in irreducible:
+            assert FieldContext(p, e, f.coeffs).modulus == f.coeffs
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"modulus {f.coeffs} is reducible")):
+                FieldContext(p, e, f.coeffs)
 
 
 def test_sieve_matches_sympy():

@@ -9,13 +9,10 @@ import pytest
 
 import affine_shuffles.numth as numth
 from affine_shuffles.numth import (
-    IntPolynomial,
-    aperiodic_necklaces_with_sum,
     binomial,
     bounded_partition_count,
     divisors,
     mobius,
-    q_binomial,
     ramanujan_sum,
     von_sterneck,
 )
@@ -43,20 +40,6 @@ def brute_partitions_in_box(max_parts, max_part):
                 yield (first,) + rest
 
     return list(rec(max_parts, max_part))
-
-
-def brute_aperiodic_necklaces(k, i, m):
-    """Rotation classes of aperiodic length-i words over 0..k-1 with sum m."""
-    seen = set()
-    count = 0
-    for word in itertools.product(range(k), repeat=i):
-        if word in seen or sum(word) != m:
-            continue
-        rotations = {word[r:] + word[:r] for r in range(i)}
-        seen.update(rotations)
-        if len(rotations) == i:  # aperiodic
-            count += 1
-    return count
 
 
 def exponential_ramanujan(m, n):
@@ -127,26 +110,12 @@ def test_von_sterneck_negative_target():
     assert von_sterneck(5, 3, -2) == von_sterneck(5, 3, 3)
 
 
-def test_q_binomial_examples():
-    assert q_binomial(2, 1).coeffs == (1, 1)
-    assert q_binomial(4, 2).coeffs == (1, 1, 2, 1, 1)
-    assert q_binomial(4, 2) == q_binomial(4, 4 - 2)
-    with pytest.raises(ValueError):
-        q_binomial(2, 3)
-
-
-def test_q_binomial_at_one_and_degree():
-    for a in range(9):
-        for b in range(a + 1):
-            poly = q_binomial(a, b)
-            assert sum(poly.coeffs) == math.comb(a, b)  # the value at q = 1
-            assert poly.degree == b * (a - b)
-
-
 def test_bounded_partition_examples():
     assert bounded_partition_count(2, 2, 3, 0) == 2  # {}, (2,1)
     assert bounded_partition_count(0, 0, 1, 0) == 1  # empty partition
     assert bounded_partition_count(2, 2, 1, 0) == 6  # everything in the box
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        bounded_partition_count(2, 2, 0, 0)
 
 
 def test_bounded_partition_negative_box_is_empty():
@@ -155,48 +124,29 @@ def test_bounded_partition_negative_box_is_empty():
 
 
 def test_bounded_partition_against_enumeration():
-    for a in range(5):
-        for b in range(5):
+    # moduli up to 8 take rotations by i >= m; residues from -m cover negatives
+    for a in range(7):
+        for b in range(7):
             box = brute_partitions_in_box(a, b)
-            for n in range(1, 5):
-                for r in range(n):
-                    expected = sum(1 for p in box if sum(p) % n == r)
+            for n in range(1, 9):
+                for r in range(-n, n):
+                    expected = sum(1 for p in box if (sum(p) - r) % n == 0)
                     assert bounded_partition_count(a, b, n, r) == expected, (a, b, n, r)
 
 
-def test_necklace_examples():
-    assert aperiodic_necklaces_with_sum(2, 3, 1) == 1  # 001
-    assert aperiodic_necklaces_with_sum(2, 3, 0) == 0  # 000 is periodic
-    # total over m equals the number of degree-3 binary aperiodic necklaces
-    assert sum(aperiodic_necklaces_with_sum(2, 3, m) for m in range(4)) == 2
+def test_bounded_partition_transposition_symmetry():
+    # closed-form method 2 counts method 1's box transposed
+    for a in range(-1, 10):
+        for b in range(-1, 10):
+            for n in range(1, 11):
+                for r in range(n):
+                    assert bounded_partition_count(a, b, n, r) == bounded_partition_count(
+                        b, a, n, r
+                    ), (a, b, n, r)
 
 
-def test_necklaces_against_brute_force():
-    for k in (2, 3):
-        for i in range(1, 6):
-            for m in range((k - 1) * i + 1):
-                assert aperiodic_necklaces_with_sum(k, i, m) == brute_aperiodic_necklaces(
-                    k, i, m
-                ), (k, i, m)
-
-
-def test_necklace_totals_match_moebius_count():
-    for k in range(1, 9):
-        for i in range(1, 9):
-            total = sum(
-                aperiodic_necklaces_with_sum(k, i, m) for m in range((k - 1) * i + 1)
-            )
-            closed = sum(mobius(d) * k ** (i // d) for d in divisors(i)) // i
-            assert total == closed
-
-
-def test_int_polynomial_arithmetic():
-    p = IntPolynomial((1, 1))
-    assert (p * p).coeffs == (1, 2, 1)
-    assert (p**3).coeffs == (1, 3, 3, 1)
-    assert (p**0).coeffs == (1,)
-    with pytest.raises(ValueError):
-        p**-1
-    assert (p + IntPolynomial((-1, -1))).coeffs == ()
-    assert p.shift(2).coeffs == (0, 0, 1, 1)
-    assert IntPolynomial((0, 0)).degree == -1
+def test_bounded_partition_residues_sum_to_binomial():
+    # the Gaussian binomial at q = 1: every partition in the box, once
+    a, b, n = 51, 40, 52
+    residues = [bounded_partition_count(a, b, n, r) for r in range(n)]
+    assert sum(residues) == math.comb(a + b, a)
