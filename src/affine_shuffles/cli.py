@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 
 from . import closed_forms, harness, shuffles, unimodal
-from .perm import Permutation, SignedPermutation
+from .perm import ELEMENT_TYPES
 
 
 def _render_fraction(value: Fraction, decimal: int | None) -> str:
@@ -208,9 +208,8 @@ def _int_at_least(low: int):
 
 def _parse_element(parser: argparse.ArgumentParser, args: argparse.Namespace):
     """The ``measure --element`` text as a group element on ``--n`` symbols."""
-    group = Permutation if args.family == "A" else SignedPermutation
     try:
-        element = group.from_text(args.element)
+        element = ELEMENT_TYPES[args.family].from_text(args.element)
         if element.n != args.n:
             raise ValueError(f"{args.element} acts on {element.n} symbols, but --n is {args.n}")
     except ValueError as exc:
@@ -288,7 +287,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "measure":
         if args.element is not None:
             args.element = _parse_element(args.subparser, args)
-        return _cmd_measure(args, out)
+        try:
+            return _cmd_measure(args, out)
+        except ValueError as exc:  # a size the library refuses, e.g. n > 127
+            args.subparser.error(str(exc))
     if args.command == "verify":
         return _cmd_verify(args, out)
     if args.command == "sample":

@@ -329,7 +329,8 @@ def verify_sampler(n: int, k: int, draws: int, tolerance: float, seed: int):
     The block reader counts the pick tuples of the draws over the model's
     plan (bounds up to 255, so n, k <= 255); each distinct tuple is merged
     into images once, and each distinct outcome is validated once, as a
-    ``SignedPermutation``, before it is compared."""
+    ``SignedPermutation``, before it is compared.  The deviation
+    max |count/draws - p| and the tolerance are compared as exact fractions."""
     if draws < 1:
         raise ValueError(f"draws must be positive, got {draws}")
     picks = shuffles.count_picks(shuffles.riffle_plan(n, k), draws, random.Random(seed))
@@ -343,11 +344,11 @@ def verify_sampler(n: int, k: int, draws: int, tolerance: float, seed: int):
             counts[SignedPermutation(images)] = count
         except ValueError as exc:
             return {"invalid_outcome": list(images), "draws": count, "issue": str(exc)}
-    sup = 0.0
-    for w in set(exact.coeffs) | set(counts):
-        sup = max(sup, abs(counts.get(w, 0) / draws - float(exact.coefficient(w))))
-    witness = None if sup <= tolerance else {"sup_norm": sup}
-    return witness, f"sup-norm deviation {sup:.4f}"
+    sup = max(abs(Fraction(counts.get(w, 0), draws) - exact.coefficient(w))
+              for w in set(exact.coeffs) | set(counts))
+    witness = None if sup <= Fraction(tolerance) else {"sup_norm": sup}
+    ten_thousandths = round(sup * 10_000)  # the exact value, rounded half to even
+    return witness, f"sup-norm deviation {ten_thousandths // 10_000}.{ten_thousandths % 10_000:04d}"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ negative arguments by w(-i) = -w(i).  The composition convention throughout is
     (u * v)(i) = u(v(i)),
 
 and every statement about shuffle models elsewhere in the package is made
-against this convention.
+against this convention.  ``Permutation`` and ``SignedPermutation`` share one
+body, ``GroupElement``, and add only their validation; a product of elements
+of different types or sizes raises ValueError.  ``ELEMENT_TYPES`` maps a
+family, "A" or "C", to its element type.
 
 The module also houses the descent statistics the measures are built from
 (descents, major index, cyclic descents for both types), the cyclic-descent
@@ -40,13 +43,15 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Collection, Iterator, Mapping, NamedTuple
 
 __all__ = [
+    "GroupElement",
     "Permutation",
     "SignedPermutation",
     "CycleType",
     "SignedCycleType",
+    "ELEMENT_TYPES",
     "GroupKind",
     "GroupAlgebraElement",
     "ClassMeasure",
@@ -67,8 +72,14 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """Element of S_n (n >= 1) in one-line form: ``images[i-1] == w(i)``."""
+class GroupElement:
+    """Element of S_n or C_n (n >= 1) in one-line form: ``images[i-1] == w(i)``,
+    acting on negative arguments by w(-i) = -w(i).
+
+    Only the subclasses are built; each validates its images in its
+    ``__post_init__``.  Elements of different types are never equal, and
+    their product raises.
+    """
 
     # Declared by hand: ``dataclass(slots=True)`` rebuilds the class and, on
     # Python 3.11, keeps the discarded original alive.
@@ -76,11 +87,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.images)
-        if n == 0:
-            raise ValueError("a permutation needs at least one symbol")
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images!r}")
+        raise TypeError("build a Permutation or a SignedPermutation, which validate their images")
 
     @property
     def n(self) -> int:
@@ -88,19 +95,50 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         if not 1 <= abs(i) <= self.n:
-            raise ValueError(f"argument {i} outside 1..{self.n}")
+            raise ValueError(f"argument {i} outside +-1..{self.n}")
         return self.images[i - 1] if i > 0 else -self.images[-i - 1]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return Permutation(tuple(self.images[v - 1] for v in other.images))
+    def __mul__(self, other: "GroupElement") -> "GroupElement":
+        if type(other) is not type(self) or other.n != self.n:
+            raise ValueError(f"cannot compose {self!r} with {other!r}: "
+                             "the types or sizes differ")
+        images = self.images
+        return _trusted(type(self), tuple(images[v - 1] if v > 0 else -images[-v - 1]
+                                          for v in other.images))
 
-    def inverse(self) -> "Permutation":
+    def inverse(self) -> "GroupElement":
         inv = [0] * self.n
         for i, v in enumerate(self.images, start=1):
-            inv[v - 1] = i
-        return Permutation(tuple(inv))
+            inv[abs(v) - 1] = i if v > 0 else -i
+        return _trusted(type(self), tuple(inv))
+
+    @classmethod
+    def identity(cls, n: int) -> "GroupElement":
+        return cls(tuple(range(1, n + 1)))
+
+    @classmethod
+    def from_text(cls, text: str) -> "GroupElement":
+        return cls(tuple(int(part) for part in text.split(",")))
+
+    def to_text(self) -> str:
+        return ",".join(str(v) for v in self.images)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_text()})"
+
+
+@dataclass(frozen=True, repr=False)
+class Permutation(GroupElement):
+    """Element of S_n: the images are 1..n in some order."""
+
+    __slots__ = ()
+
+    def __post_init__(self) -> None:
+        n = len(self.images)
+        if n == 0:
+            raise ValueError("a permutation needs at least one symbol")
+        if sorted(self.images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {self.images!r}")
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its smallest member, ordered by it."""
@@ -120,32 +158,17 @@ class Permutation:
             out.append(tuple(cyc))
         return out
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
 
-    @classmethod
-    def from_text(cls, text: str) -> "Permutation":
-        return cls(tuple(int(part) for part in text.split(",")))
-
-    def to_text(self) -> str:
-        return ",".join(str(v) for v in self.images)
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.to_text()})"
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """Element of C_n (n >= 1): images may be negated, absolute values are a
+@dataclass(frozen=True, repr=False)
+class SignedPermutation(GroupElement):
+    """Element of C_n: images may be negated, absolute values are a
     bijection.
 
-    The action on negative arguments is forced by w(-i) = -w(i), which makes
-    the sign-product rule for cycle types well defined.
+    The action on negative arguments, w(-i) = -w(i), makes the sign-product
+    rule for cycle types well defined.
     """
 
-    __slots__ = ("images",)  # by hand, as in Permutation
-    images: tuple[int, ...]
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         n = len(self.images)
@@ -154,49 +177,13 @@ class SignedPermutation:
         if sorted(abs(v) for v in self.images) != list(range(1, n + 1)) or 0 in self.images:
             raise ValueError(f"not a signed permutation on 1..{n}: {self.images!r}")
 
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        if not 1 <= abs(i) <= self.n:
-            raise ValueError(f"argument {i} outside +-1..{self.n}")
-        return self.images[i - 1] if i > 0 else -self.images[-i - 1]
-
-    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return SignedPermutation(tuple(self(v) for v in other.images))
-
-    def inverse(self) -> "SignedPermutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.images, start=1):
-            if v > 0:
-                inv[v - 1] = i
-            else:
-                inv[-v - 1] = -i
-        return SignedPermutation(tuple(inv))
-
     def underlying(self) -> Permutation:
         """The unsigned permutation i -> |w(i)|."""
         return _trusted(Permutation, tuple(abs(v) for v in self.images))
 
-    @classmethod
-    def identity(cls, n: int) -> "SignedPermutation":
-        return cls(tuple(range(1, n + 1)))
 
-    @classmethod
-    def from_text(cls, text: str) -> "SignedPermutation":
-        return cls(tuple(int(part) for part in text.split(",")))
-
-    def to_text(self) -> str:
-        return ",".join(str(v) for v in self.images)
-
-    def __repr__(self) -> str:
-        return f"SignedPermutation({self.to_text()})"
-
-
-GroupElement = Union[Permutation, SignedPermutation]
+# The element type of each family: "A" is S_n, "C" is C_n.
+ELEMENT_TYPES: dict[str, type[GroupElement]] = {"A": Permutation, "C": SignedPermutation}
 
 
 class GroupKind(NamedTuple):
@@ -220,19 +207,19 @@ class GroupKind(NamedTuple):
 
 
 def _check_family(family: str) -> None:
-    if family not in ("A", "C"):
+    if family not in ELEMENT_TYPES:
         raise ValueError(f"family must be 'A' or 'C', got {family!r}")
 
 
 # The slot's own setter, which a frozen dataclass's __setattr__ does not block.
-_SET_IMAGES = {cls: cls.__dict__["images"].__set__ for cls in (Permutation, SignedPermutation)}
+_SET_IMAGES = GroupElement.__dict__["images"].__set__
 
 
-def _trusted(cls: type, images: tuple[int, ...]) -> GroupElement:
+def _trusted(cls: type[GroupElement], images: tuple[int, ...]) -> GroupElement:
     # An element whose images are valid by construction, built without the
     # constructor's check (the sort and compare are half of enumeration).
     w = object.__new__(cls)
-    _SET_IMAGES[cls](w, images)
+    _SET_IMAGES(w, images)
     return w
 
 
@@ -411,7 +398,7 @@ def descent_classes(family: str, n: int) -> tuple[DescentClass, ...]:
         images += flat[start:start + n]
     # rank code c > n stands for -(2n + 1 - c), a signed byte
     signed = bytes(c if c <= n else (c - 2 * n - 1) % 256 for c in range(256))
-    cls = Permutation if family == "A" else SignedPermutation
+    cls = ELEMENT_TYPES[family]
     unpack_first = struct.Struct(f"{n}b").unpack_from
     out = []
     for key, images in groups.items():
@@ -424,6 +411,11 @@ def descent_classes(family: str, n: int) -> tuple[DescentClass, ...]:
 # Cycle types
 # ---------------------------------------------------------------------------
 
+def _check_parts(parts: tuple[int, ...]) -> None:
+    if any(p <= 0 for p in parts) or list(parts) != sorted(parts, reverse=True):
+        raise ValueError(f"parts must be positive and weakly decreasing: {parts!r}")
+
+
 @dataclass(frozen=True)
 class CycleType:
     """Partition of n recording cycle lengths with multiplicity."""
@@ -431,8 +423,7 @@ class CycleType:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(p <= 0 for p in self.parts) or list(self.parts) != sorted(self.parts, reverse=True):
-            raise ValueError(f"parts must be positive and weakly decreasing: {self.parts!r}")
+        _check_parts(self.parts)
 
     def __repr__(self) -> str:
         return f"CycleType{self.parts}"
@@ -446,9 +437,8 @@ class SignedCycleType:
     mu: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for parts in (self.lam, self.mu):
-            if any(p <= 0 for p in parts) or list(parts) != sorted(parts, reverse=True):
-                raise ValueError(f"parts must be positive and weakly decreasing: {parts!r}")
+        _check_parts(self.lam)
+        _check_parts(self.mu)
 
     @property
     def size(self) -> int:
@@ -519,7 +509,7 @@ class GroupAlgebraElement:
 
     def __post_init__(self) -> None:
         _check_family(self.kind.family)
-        expected = Permutation if self.kind.family == "A" else SignedPermutation
+        expected = ELEMENT_TYPES[self.kind.family]
         cleaned = {}
         for w, c in self.coeffs.items():
             if type(c) is not Fraction:  # shared Fraction values stay shared
@@ -620,7 +610,7 @@ def convolve(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElem
         for compose, cv in right:
             w = compose(table)
             sums[w] = sums.get(w, 0) + cu * cv
-    cls = Permutation if a.kind.family == "A" else SignedPermutation
+    cls = ELEMENT_TYPES[a.kind.family]
     denom = da * db
     return GroupAlgebraElement(
         a.kind, {_trusted(cls, w[1:]): Fraction(c, denom) for w, c in sums.items() if c}

@@ -252,6 +252,11 @@ def test_bad_arguments_exit_2(capsys):
                  id="measure-k-0"),
     pytest.param(["measure", "--family", "A", "--n", "0", "--k", "2"], "measure",
                  id="measure-n-0"),
+    # refused by the library (the class index packs images as signed bytes)
+    pytest.param(["measure", "--family", "A", "--n", "130", "--k", "2"], "measure",
+                 id="measure-A-n-past-the-class-index"),
+    pytest.param(["measure", "--family", "C", "--n", "128", "--k", "2"], "measure",
+                 id="measure-C-n-past-the-class-index"),
     pytest.param(["--decimal", "-1", "measure", "--family", "A", "--n", "2", "--k", "2"],
                  "[-h]", id="negative-decimal"),
     pytest.param(["unimodal", "--n", "0"], "unimodal", id="unimodal-n-0"),

@@ -281,7 +281,7 @@ FAULTS = {
         # 1,2,3 reported as -1,2,3: one outcome of mass 1/8 reads 0, another 1/4
         _relabelled_kernel_outcome((1, 2, 3), (-1, 2, 3)),
         (3, 2, 100_000, 0.02, 20260810),
-        {"sup_norm": 0.12617},
+        {"sup_norm": Fraction(12617, 100_000)},
     ),
     "shuffle_model_a": (
         # 3,2,4,1 (Cdes {1, 3}, x_2 = 1/8) and 3,4,2,1 (Cdes {2, 3}, x_2 = 0)

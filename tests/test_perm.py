@@ -13,6 +13,7 @@ from affine_shuffles.perm import (
     ClassMeasure,
     CycleType,
     GroupAlgebraElement,
+    GroupElement,
     GroupKind,
     Permutation,
     SignedCycleType,
@@ -48,6 +49,8 @@ def test_permutation_validation():
         SignedPermutation((1, -1))
     with pytest.raises(ValueError):
         SignedPermutation((2, 3))
+    with pytest.raises(TypeError):
+        GroupElement((1, 1))  # only the validating element types are built
 
 
 def test_empty_elements_rejected():
@@ -96,6 +99,42 @@ def test_composition_convention():
     # (u * v)(i) = u(v(i))
     u, v = perm("2,1,3"), perm("1,3,2")
     assert (u * v).images == tuple(u(v(i)) for i in (1, 2, 3))
+
+
+def _element_pairs(n):
+    signed = st.tuples(st.permutations(range(1, n + 1)),
+                       st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return st.one_of(
+        st.tuples(st.permutations(range(1, n + 1)), st.permutations(range(1, n + 1)))
+        .map(lambda pair: tuple(Permutation(tuple(p)) for p in pair)),
+        st.tuples(signed, signed).map(lambda pair: tuple(
+            SignedPermutation(tuple(s * v for s, v in zip(signs, images)))
+            for images, signs in pair)),
+    )
+
+
+@given(st.integers(1, 7).flatmap(_element_pairs))
+def test_elements_share_one_body(pair):
+    u, v = pair
+    cls, n = type(u), u.n
+    assert all((u * v)(i) == u(v(i)) for i in range(-n, n + 1) if i)
+    assert u * u.inverse() == u.inverse() * u == cls.identity(n)
+    assert cls.from_text(u.to_text()) == u
+    assert repr(u) == f"{cls.__name__}({u.to_text()})"
+    if all(x > 0 for x in u.images):
+        other = SignedPermutation if cls is Permutation else Permutation
+        assert u != other(u.images) and other(u.images) != u
+
+
+@pytest.mark.parametrize("u, v", [
+    (perm("2,1"), sperm("-1,2")),  # the composite u(v(i)) is the signed -2,1
+    (sperm("-1,2"), perm("2,1")),
+    (perm("2,1"), perm("1,2,3")),
+    (sperm("-1,2"), sperm("1,2,3")),
+])
+def test_product_of_mixed_types_or_sizes_raises(u, v):
+    with pytest.raises(ValueError, match="types or sizes differ"):
+        u * v
 
 
 def test_signed_action_on_negatives():
