@@ -48,6 +48,7 @@ from .perm import (
     GroupAlgebraElement,
     GroupKind,
     Permutation,
+    _check_family,
     descent_classes,
 )
 from .report import check, first_difference
@@ -73,8 +74,7 @@ class RootSystem:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.family not in ("A", "C"):
-            raise ValueError(f"family must be 'A' or 'C', got {self.family!r}")
+        _check_family(self.family)
         if self.rank < 0 or (self.family == "C" and self.rank < 1):
             raise ValueError(f"invalid rank {self.rank} for family {self.family}")
 

@@ -5,7 +5,8 @@ Subcommands:
 * ``measure``  -- print an affine k-shuffle measure (or one coefficient);
 * ``verify``   -- run a named verification check or the whole battery;
 * ``sample``   -- draw from one of the shuffle models with a fixed seed;
-* ``unimodal`` -- list unimodal permutations or their shape histogram.
+* ``unimodal`` -- list unimodal permutations or their shape histogram
+  (n at most ``UNIMODAL_MAX_N``).
 
 Global flags ``--json``, ``--csv``, ``--out PATH`` and ``--decimal DIGITS``
 control output.  All numbers are exact rationals rendered as "a/b" unless
@@ -206,6 +207,24 @@ def _int_at_least(low: int):
     return parse
 
 
+UNIMODAL_MAX_N = 20
+"""Largest ``unimodal --n``: 2^19 = 524,288 permutations.  Each step up
+doubles the listing and the histogram's cost, so larger n is refused."""
+
+
+def _unimodal_size(text: str) -> int:
+    """argparse type for ``unimodal --n``: 1..``UNIMODAL_MAX_N``."""
+    n = _int_at_least(1)(text)
+    if n > UNIMODAL_MAX_N:
+        raise argparse.ArgumentTypeError(
+            f"at most {UNIMODAL_MAX_N} ({2 ** (UNIMODAL_MAX_N - 1):,} permutations), "
+            f"got {n}, which would enumerate 2^{n - 1} = {2 ** (n - 1):,}")
+    return n
+
+
+_unimodal_size.__name__ = "int"
+
+
 def _parse_element(parser: argparse.ArgumentParser, args: argparse.Namespace):
     """The ``measure --element`` text as a group element on ``--n`` symbols."""
     try:
@@ -273,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--count", type=_int_at_least(0), default=1)
 
     uni = sub.add_parser("unimodal", help="unimodal permutations")
-    uni.add_argument("--n", type=_int_at_least(1), required=True)
+    uni.add_argument("--n", type=_unimodal_size, required=True,
+                     help=f"at most {UNIMODAL_MAX_N}")
     uni.add_argument("--histogram", action="store_true",
                      help="group by multiset of cycle shapes")
 

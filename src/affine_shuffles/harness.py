@@ -27,6 +27,7 @@ from .cellini import RootSystem
 from .perm import (
     CycleType,
     SignedPermutation,
+    _check_family,
     cycle_type,
     descent_classes,
     descent_histograms,
@@ -191,7 +192,7 @@ def verify_unimodal_counts(n_max: int):
 def verify_transitive_counts(n_max: int):
     """Closed form for unimodal n-cycles against brute-force enumeration."""
     for n in range(1, n_max + 1):
-        brute = sum(1 for w in unimodal.enumerate_unimodal(n) if len(w.cycles()) == 1)
+        brute = sum(1 for w in unimodal.enumerate_unimodal(n) if unimodal._is_n_cycle(w.images))
         formula = unimodal.transitive_unimodal_count(n)
         if brute != formula:
             return {"n": n, "brute": brute, "closed_form": formula}
@@ -273,20 +274,19 @@ def verify_reciprocity(n: int, q: int, brute: bool = False):
     if left != right:
         return {"left": left, "right": right}, _RECIPROCITY_NOTE
     if brute:
-        brute_left = sum(
-            1
-            for combo in itertools.combinations_with_replacement(range(q - 1), n)
-            if sum(combo) % (q - 1) == 0
-        )
-        brute_right = sum(
-            1
-            for combo in itertools.combinations_with_replacement(range(n), q - 1)
-            if sum(combo) % n == 0
-        )
+        brute_left = _zero_sum_multisets(q - 1, n)
+        brute_right = _zero_sum_multisets(n, q - 1)
         if brute_left != left or brute_right != right:
             return ({"formula": left, "brute_left": brute_left, "brute_right": brute_right},
                     _RECIPROCITY_NOTE)
     return None, _RECIPROCITY_NOTE
+
+
+def _zero_sum_multisets(modulus: int, size: int) -> int:
+    # Multisets of ``size`` residues 0..modulus-1 whose sum is 0 mod modulus,
+    # by enumeration.
+    sums = Counter(map(sum, itertools.combinations_with_replacement(range(modulus), size)))
+    return sum(count for total, count in sums.items() if total % modulus == 0)
 
 
 def _geometric_convolution(count: int, p: Fraction, j: int) -> Fraction:
@@ -361,8 +361,7 @@ Cases = tuple[tuple, ...]
 
 
 def _root_system(family: str, n: int) -> RootSystem:
-    if family not in ("A", "C"):
-        raise ValueError(f"family must be 'A' or 'C', got {family!r}")
+    _check_family(family)
     return RootSystem.type_a(n) if family == "A" else RootSystem.type_c(n)
 
 

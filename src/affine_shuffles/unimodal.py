@@ -11,11 +11,13 @@ l is the number of distinct shapes present.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .fq import count_self_conjugate_irreducibles
-from .perm import Permutation, SignedPermutation
+from .perm import Permutation, SignedPermutation, _trusted
 
 __all__ = [
     "CycleShape",
@@ -33,26 +35,36 @@ def is_unimodal(w: Permutation) -> bool:
     """True when the one-line form rises to its maximum and then falls."""
     images = w.images
     peak = images.index(w.n)
-    rising = all(images[i] < images[i + 1] for i in range(peak))
-    falling = all(images[i] > images[i + 1] for i in range(peak, w.n - 1))
-    return rising and falling
+    return (all(map(operator.lt, images[:peak], images[1:peak + 1]))
+            and all(map(operator.gt, images[peak:-1], images[peak + 1:])))
 
 
-def enumerate_unimodal(n: int) -> list[Permutation]:
-    """All 2^{n-1} unimodal permutations of n, built directly.
+@lru_cache(maxsize=32)
+def enumerate_unimodal(n: int) -> tuple[Permutation, ...]:
+    """All 2^{n-1} unimodal permutations of n, built by doubling.
 
-    Each subset of {1..n-1} gives one: its members ascend before n, the rest
-    descend after.
+    Symbol 1 sits at one end of a unimodal word, and the rest of the word is
+    unimodal on 2..n; so each word on v+1..n grows into two on v..n, with v
+    appended and with v prepended.  Subset ``mask`` of {1..n-1} (bit i-1 set
+    when i ascends before n, the rest descend after) comes ``mask``-th.
+
+    Memoised: every unimodal check reads the one tuple per n, so a test that
+    patches anything beneath it must ``cache_clear()`` it first.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    out = []
-    values = list(range(1, n))
-    for mask in range(2 ** (n - 1)):
-        rising = [v for i, v in enumerate(values) if mask >> i & 1]
-        falling = [v for i, v in enumerate(values) if not mask >> i & 1]
-        out.append(Permutation(tuple(rising + [n] + falling[::-1])))
-    return out
+    words = [(n,)]
+    for v in range(n - 1, 0, -1):
+        words = [grown for w in words for grown in (w + (v,), (v,) + w)]
+    return tuple(_trusted(Permutation, w) for w in words)
+
+
+def _is_n_cycle(images: tuple[int, ...]) -> bool:
+    # The orbit of 1 is everything: no cycle list is built.
+    length, j = 1, images[0]
+    while j != 1:
+        length, j = length + 1, images[j - 1]
+    return length == len(images)
 
 
 @dataclass(frozen=True)
@@ -142,8 +154,8 @@ def eta_map(outcome: SignedPermutation) -> Permutation:
     """
     _validate_two_shuffle_outcome(outcome)
     n = outcome.n
-    unsigned = outcome.inverse().underlying()
-    result = Permutation(tuple(n + 1 - unsigned(n + 1 - i) for i in range(1, n + 1)))
+    unsigned = outcome.inverse().underlying().images
+    result = Permutation(tuple(n + 1 - v for v in reversed(unsigned)))
     if not is_unimodal(result):
         raise AssertionError(f"eta image {result.to_text()} is not unimodal")
     return result

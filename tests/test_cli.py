@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from affine_shuffles import harness
+from affine_shuffles import harness, unimodal
 from affine_shuffles.cli import main
 from affine_shuffles.harness import CHECKS
 
@@ -173,6 +173,25 @@ def test_unimodal_histogram_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "shapes,count"
     assert len(lines) == 4  # three classes
+
+
+@pytest.mark.parametrize("n, count, options", [
+    (21, "1,048,576", []),
+    (40, "549,755,813,888", ["--histogram"]),
+])
+def test_unimodal_refuses_n_past_the_limit(capsys, monkeypatch, n, count, options):
+    # refused while parsing, before any enumeration starts
+    monkeypatch.setattr(unimodal, "enumerate_unimodal", None)
+    monkeypatch.setattr(unimodal, "gannon_histogram", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["unimodal", "--n", str(n), *options])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: affine-shuffles unimodal")
+    assert captured.err.endswith(
+        f"error: argument --n: at most 20 (524,288 permutations), got {n}, "
+        f"which would enumerate 2^{n - 1} = {count}\n")
 
 
 def test_out_file(tmp_path, capsys):

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from affine_shuffles import unimodal
 from affine_shuffles.perm import (
     Permutation,
     SignedPermutation,
@@ -47,9 +48,33 @@ def test_312_is_not_unimodal():
 
 def test_enumeration_matches_filter():
     for n in range(1, 8):
-        filtered = {w for w in all_permutations(n) if is_unimodal(w)}
+        group = list(all_permutations(n))
+        filtered = {w for w in group if is_unimodal(w)}
         assert set(enumerate_unimodal(n)) == filtered
         assert len(filtered) == 2 ** (n - 1)
+        # the orbit-of-1 kernel that transitive_unimodal reads
+        assert all(unimodal._is_n_cycle(w.images) == (len(w.cycles()) == 1) for w in group)
+
+
+def _unimodal_by_mask(n):
+    # Subset ``mask`` of {1..n-1}: its members ascend before n, the rest
+    # descend after.
+    out = []
+    values = list(range(1, n))
+    for mask in range(2 ** (n - 1)):
+        rising = [v for i, v in enumerate(values) if mask >> i & 1]
+        falling = [v for i, v in enumerate(values) if not mask >> i & 1]
+        out.append(Permutation(tuple(rising + [n] + falling[::-1])))
+    return out
+
+
+def test_doubling_enumeration_is_the_mask_order_and_cached():
+    for n in range(1, 13):
+        got = enumerate_unimodal(n)
+        assert isinstance(got, tuple)
+        assert list(got) == _unimodal_by_mask(n)
+        assert all(type(w) is Permutation for w in got)
+        assert enumerate_unimodal(n) is got
 
 
 def test_counts_up_to_14():
