@@ -16,10 +16,9 @@ from .perm import (
     all_signed_permutations,
     convolve,
     cycle_type,
+    cyclic_descents,
     descent_histograms,
     invert_element,
-    type_a_stats,
-    type_c_stats,
 )
 from .numth import (
     bounded_partition_count,

@@ -23,7 +23,7 @@ which no other route uses.  It is keyed by (n, k, key), where key holds n
 bytes read straight off w's images: byte i - 1 is 1 where w has a descent at
 position i < n, and the last byte is 1 where w(n) > w(1), the marker 0.  The
 key is decoded to Cdes(w) only on a cache miss, and the route reads neither
-the descent statistics nor the class index.  A test that monkeypatches what
+``perm.cyclic_descents`` nor the class index.  A test that monkeypatches what
 the lattice count reads (such as ``_alcove_wall_sets``) must
 ``cache_clear()`` ``_lattice_coefficient`` and ``x_k_generic`` first, or
 values cached before the patch hide it.

@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``measure``  -- print an affine k-shuffle measure (or one coefficient);
+* ``measure``  -- print an affine k-shuffle measure (group order at most
+  ``MEASURE_MAX_ORDER``) or one coefficient (any n);
 * ``verify``   -- run a named verification check or the whole battery;
 * ``sample``   -- draw from one of the shuffle models with a fixed seed;
 * ``unimodal`` -- list unimodal permutations or their shape histogram
@@ -29,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from . import closed_forms, harness, shuffles, unimodal
-from .perm import ELEMENT_TYPES
+from .perm import ELEMENT_TYPES, GroupKind
 
 
 def _render_fraction(value: Fraction, decimal: int | None) -> str:
@@ -225,6 +226,14 @@ def _unimodal_size(text: str) -> int:
 _unimodal_size.__name__ = "int"
 
 
+MEASURE_MAX_ORDER = 3_628_800
+"""Largest group order ``measure`` enumerates without ``--element``: 10!,
+which admits S_10 and C_7.  The class index holds n bytes per element and
+the measure one entry per element of nonzero mass, so S_12 alone would need
+479,001,600 x 12 bytes for its index; larger groups are refused before
+anything is enumerated."""
+
+
 def _parse_element(parser: argparse.ArgumentParser, args: argparse.Namespace):
     """The ``measure --element`` text as a group element on ``--n`` symbols."""
     try:
@@ -307,10 +316,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "measure":
         if args.element is not None:
             args.element = _parse_element(args.subparser, args)
-        try:
-            return _cmd_measure(args, out)
-        except ValueError as exc:  # a size the library refuses, e.g. n > 127
-            args.subparser.error(str(exc))
+        # The order is computed up to n = 20 only (20! > 10!), so that a huge
+        # --n is refused without a huge factorial.
+        elif (order := GroupKind(args.family, min(args.n, 20)).order()) > MEASURE_MAX_ORDER:
+            more = "more than " if args.n > 20 else ""
+            args.subparser.error(
+                f"argument --n: the {args.family} measure at n={args.n} would enumerate "
+                f"{more}{order:,} elements; at most {MEASURE_MAX_ORDER:,} without --element")
+        return _cmd_measure(args, out)
     if args.command == "verify":
         return _cmd_verify(args, out)
     if args.command == "sample":

@@ -20,26 +20,19 @@ the partition count, the von Sterneck/Ramanujan sum, and the alcove count.
 Type C has a single binomial formula, split by the parity of k, in terms of
 the descent number d(w) (k odd) or the cyclic descent number cd(w) (k even).
 
-Each formula reads w only through its cyclic descent set Cdes(w): cd(w) is
-the size of that set, d(w) its size without the affine marker 0, and maj(w)
-the sum of its other members.  So evaluating a formula once per statistic
-class and reusing the value for every element in the class is exact.
-``_type_a_coefficient`` and ``_type_c_coefficient`` do that; they are bounded
-``lru_cache`` helpers that only this module's routes use.  The whole-group
-measures go one step further: through
-``GroupAlgebraElement.probability_per_class`` they evaluate the formula on
-the first element of each class of ``perm.descent_classes`` (``x_k_type_a``
-or ``x_k_type_c`` compute that element's statistics afresh) and copy the
-value to the class's members.
-A test that monkeypatches a kernel these helpers call must ``cache_clear()``
-them and ``x_k_measure_type_c`` first, or values cached before the patch hide
-it.
+Each formula reads w only through its cyclic descent set Cdes(w), from
+``perm.cyclic_descents``: cd(w) is the size of that set, d(w) its size
+without the affine marker 0, and maj(w) its sum.  So the whole-group
+measures evaluate the formula once per class of ``perm.descent_classes``,
+on the class's first element, and copy the value to the class's members
+through ``GroupAlgebraElement.probability_per_class``; the index keys its
+classes without calling ``cyclic_descents``, and the formulas never read the
+index's Cdes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .numth import binomial, bounded_partition_count, von_sterneck
 from .perm import (
@@ -47,8 +40,7 @@ from .perm import (
     GroupKind,
     Permutation,
     SignedPermutation,
-    type_a_stats,
-    type_c_stats,
+    cyclic_descents,
 )
 
 __all__ = [
@@ -67,13 +59,8 @@ def x_k_type_a(w: Permutation, k: int, method: int = 1) -> Fraction:
     if k < 1:
         raise ValueError("k must be positive")
     n = w.n
-    stats = type_a_stats(w)
-    return _type_a_coefficient(n, k, stats.cd, stats.maj % n, method)
-
-
-@lru_cache(maxsize=4096)
-def _type_a_coefficient(n: int, k: int, cd: int, maj: int, method: int) -> Fraction:
-    # Every route reads maj only mod n, so callers pass maj % n.
+    cdes = cyclic_descents(w)
+    cd, maj = len(cdes), sum(cdes) % n  # every route reads maj only mod n
     denom = k ** (n - 1)
     if method in (1, 3):
         return Fraction(bounded_partition_count(n - 1, k - cd, n, -maj), denom)
@@ -82,7 +69,7 @@ def _type_a_coefficient(n: int, k: int, cd: int, maj: int, method: int) -> Fract
     if method == 4:
         if k - cd > 0:
             return Fraction(von_sterneck(n, k - cd, -maj), denom)
-        if k - cd == 0 and maj % n == 0:
+        if k - cd == 0 and maj == 0:
             return Fraction(1, denom)
         return Fraction(0)
     raise ValueError(f"method must be 1, 2, 3 or 4, got {method!r}")
@@ -99,14 +86,10 @@ def x_k_type_c(w: SignedPermutation, k: int) -> Fraction:
         raise ValueError(f"x_k_type_c needs a SignedPermutation, got {w!r}")
     if k < 1:
         raise ValueError("k must be positive")
-    stats = type_c_stats(w)
-    return _type_c_coefficient(w.n, k, stats.d if k % 2 else stats.cd)
-
-
-@lru_cache(maxsize=1024)
-def _type_c_coefficient(n: int, k: int, descents: int) -> Fraction:
-    # ``descents`` is d(w) for odd k and cd(w) for even k; k // 2 is (k-1)/2
-    # for odd k.
+    n = w.n
+    cdes = cyclic_descents(w)
+    # d(w) for odd k, cd(w) for even k; k // 2 is (k-1)/2 for odd k
+    descents = len(cdes) - (0 in cdes) if k % 2 else len(cdes)
     return Fraction(binomial(k // 2 + n - descents, n), k**n)
 
 
@@ -117,7 +100,6 @@ def x_k_measure_type_a(n: int, k: int, method: int = 1) -> GroupAlgebraElement:
     )
 
 
-@lru_cache(maxsize=32)
 def x_k_measure_type_c(n: int, k: int) -> GroupAlgebraElement:
     """The whole type C element, from the binomial closed form."""
     return GroupAlgebraElement.probability_per_class(

@@ -12,12 +12,13 @@ body, ``GroupElement``, and add only their validation; a product of elements
 of different types or sizes raises ValueError.  ``ELEMENT_TYPES`` maps a
 family, "A" or "C", to its element type.
 
-The module also houses the descent statistics the measures are built from
-(descents, major index, cyclic descents for both types), the cyclic-descent
-class index, conjugacy-class data (cycle types, signed cycle types), descent
-histograms, and sparse group-algebra arithmetic over exact rationals; its
-kernels sum integer numerators over the lcm of the coefficients'
-denominators and make one ``Fraction`` per result entry.
+The module also houses the one descent statistic the measures are built
+from, ``cyclic_descents`` (d, cd and maj are its size without 0, its size
+and its sum), the cyclic-descent class index, conjugacy-class data (cycle
+types, signed cycle types), descent histograms, and sparse group-algebra
+arithmetic over exact rationals; its kernels sum integer numerators over
+the lcm of the coefficients' denominators and make one ``Fraction`` per
+result entry.
 
 Every affine shuffle element x_k reads w only through its cyclic descent set
 Cdes(w) (Cellini: the coefficient of w is (1/k^r) times the number of alcove
@@ -27,11 +28,11 @@ of rank codes, keys every element by comparing the buffer with itself shifted
 by one byte, and keeps, per class, its Cdes, its first element and its
 members packed as signed bytes; computing a route's value once on the first
 element and copying it to every member is exact.  S_8 has 254 classes for
-40,320 elements, C_6 126 for 46,080.  The index reads no descent statistic,
-so ``type_a_stats`` and ``type_c_stats``, which the routes read, are
-independent of it; ``descent_histograms`` folds the class sizes of both
-indexes.  The index is an ``lru_cache``: a test that monkeypatches it, or its
-key step ``_cdes_keys``, must ``cache_clear()`` it first.
+40,320 elements, C_6 126 for 46,080.  The index does not call
+``cyclic_descents``, which the closed forms read, so the two are independent;
+``descent_histograms`` folds the class sizes of both indexes.  The index is
+an ``lru_cache``: a test that monkeypatches it, or its key step
+``_cdes_keys``, must ``cache_clear()`` it first.
 """
 
 from __future__ import annotations
@@ -55,12 +56,9 @@ __all__ = [
     "GroupKind",
     "GroupAlgebraElement",
     "ClassMeasure",
-    "TypeAStats",
-    "TypeCStats",
     "DescentClass",
     "descent_classes",
-    "type_a_stats",
-    "type_c_stats",
+    "cyclic_descents",
     "cycle_type",
     "HistogramPair",
     "descent_histograms",
@@ -245,54 +243,28 @@ def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
 
 
 # ---------------------------------------------------------------------------
-# Descent statistics
+# Cyclic descents and their class index
 # ---------------------------------------------------------------------------
-
-class TypeAStats(NamedTuple):
-    descents: frozenset[int]
-    maj: int
-    cyclic_descents: frozenset[int]
-    cd: int
-
-
-class TypeCStats(NamedTuple):
-    descents: frozenset[int]
-    d: int
-    cyclic_descents: frozenset[int]
-    cd: int
-
 
 _AFFINE = frozenset((0,))  # the affine marker, as a set to join with the descents
 
 
-def type_a_stats(w: Permutation) -> TypeAStats:
-    """Descent set, major index, and cyclic descents of w in S_n.
+def cyclic_descents(w: GroupElement) -> frozenset[int]:
+    """Cdes(w), the cyclic descent set of w in S_n or C_n, as root indices:
+    i stands for the simple root at position i and 0 for the affine root.
 
-    Descents are positions i < n with w(i) > w(i+1); the major index is their
-    sum.  Cyclic descents add the marker 0 (the affine position) exactly when
-    w(n) > w(1).  Root indices: i stands for the simple root at position i and
-    0 for the affine root.
-    """
-    images = w.images
-    desc = [i for i in range(1, len(images)) if images[i - 1] > images[i]]
-    descents = frozenset(desc)
-    cyclic = descents | _AFFINE if images[-1] > images[0] else descents
-    return TypeAStats(descents, sum(desc), cyclic, len(cyclic))
-
-
-def type_c_stats(w: SignedPermutation) -> TypeCStats:
-    """Descents and cyclic descents of a signed permutation.
-
-    In the order 1 < 2 < ... < n < -n < ... < -2 < -1, w has a descent at
-    position i < n when w(i) > w(i+1), a descent at position n when w(n) < 0,
-    and a cyclic descent at position 1 when w(1) > 0.  Root indices in
-    ``cyclic_descents``: position-i descents map to i (1..n), the cyclic
-    descent at position 1 maps to the affine marker 0.
+    In S_n, w has a descent at each position i < n with w(i) > w(i+1), and
+    the marker 0 exactly when w(n) > w(1).  In C_n, in the order
+    1 < 2 < ... < n < -n < ... < -2 < -1, w has a descent at each position
+    i < n with w(i) > w(i+1), one at position n when w(n) < 0, and the
+    marker 0 when w(1) > 0.  The cyclic descent number cd(w) is the size of
+    the set, the descent number d(w) its size without 0, and in S_n the
+    major index maj(w) its sum.
     """
     images = w.images
     n = len(images)
     # In that order a comes after b exactly when a > b as integers and the
-    # two have the same sign, or when a < 0 < b.
+    # two have the same sign, or when a < 0 < b; images in S_n are positive.
     desc = [
         i for i in range(1, n)
         if (images[i - 1] > images[i]) != (images[i - 1] * images[i] < 0)
@@ -300,8 +272,8 @@ def type_c_stats(w: SignedPermutation) -> TypeCStats:
     if images[-1] < 0:
         desc.append(n)
     descents = frozenset(desc)
-    cyclic = descents | _AFFINE if images[0] > 0 else descents
-    return TypeCStats(descents, len(descents), cyclic, len(cyclic))
+    affine = images[-1] > images[0] if isinstance(w, Permutation) else images[0] > 0
+    return descents | _AFFINE if affine else descents
 
 
 class DescentClass(NamedTuple):
@@ -353,7 +325,7 @@ def _cdes_keys(family: str, n: int, flat: bytes) -> bytes:
 
 
 def _decode_cdes(key: bytes) -> frozenset[int]:
-    # Built in the order the descent statistics build theirs (descents, then
+    # Built in the order ``cyclic_descents`` builds its set (descents, then
     # 0), so that equal sets also iterate alike.
     desc = [i for i in range(1, len(key)) if key[i - 1]]
     if key[-1] & 2:
@@ -374,8 +346,8 @@ def descent_classes(family: str, n: int) -> tuple[DescentClass, ...]:
     element, and ``_cdes_keys`` keys every element at once.  One loop files
     each element's bytes under its key; each class then maps its rank codes
     to signed bytes in one ``bytes.translate`` and decodes its Cdes and its
-    first element once.  The keys equal ``type_a_stats(w).cyclic_descents``
-    or ``type_c_stats(w).cyclic_descents``, which the index does not call.
+    first element once.  The keys equal ``cyclic_descents(w)``, which the
+    index does not call.
     """
     _check_family(family)
     _check_size(n)

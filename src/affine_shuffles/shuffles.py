@@ -48,8 +48,8 @@ from .perm import (
     Permutation,
     SignedPermutation,
     all_permutations,
+    cyclic_descents,
     descent_histograms,
-    type_a_stats,
 )
 from .report import check
 
@@ -116,7 +116,8 @@ def riffle_distribution(n: int, k: int) -> GroupAlgebraElement:
         raise ValueError("n and k must be positive")
     masses = {}
     for w in all_permutations(n):
-        d = len(type_a_stats(w).descents)
+        cdes = cyclic_descents(w)
+        d = len(cdes) - (0 in cdes)
         mass = Fraction(binomial(k + n - d - 1, n), k**n)
         if mass:
             masses[w] = mass

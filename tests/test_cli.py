@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from affine_shuffles import harness, unimodal
+from affine_shuffles import harness, perm, unimodal
 from affine_shuffles.cli import main
 from affine_shuffles.harness import CHECKS
 
@@ -194,6 +194,50 @@ def test_unimodal_refuses_n_past_the_limit(capsys, monkeypatch, n, count, option
         f"which would enumerate 2^{n - 1} = {count}\n")
 
 
+class Enumerated(Exception):
+    """Raised by a patched class index: the command reached enumeration."""
+
+
+def _enumerated(*args):
+    raise Enumerated
+
+
+@pytest.mark.parametrize("family, n, order", [
+    pytest.param("A", 11, "39,916,800", id="A-11"),
+    pytest.param("C", 8, "10,321,920", id="C-8"),
+    # past n = 20 the order is only bounded, so no huge factorial is computed
+    pytest.param("A", 10**9, "more than 2,432,902,008,176,640,000", id="A-10**9"),
+])
+def test_measure_refuses_groups_past_the_order_limit(capsys, monkeypatch, family, n, order):
+    # refused before any enumeration starts
+    monkeypatch.setattr(perm, "descent_classes", _enumerated)
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--family", family, "--n", str(n), "--k", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: affine-shuffles measure")
+    assert captured.err.endswith(
+        f"error: argument --n: the {family} measure at n={n} would enumerate {order} "
+        "elements; at most 3,628,800 without --element\n")
+
+
+@pytest.mark.parametrize("family, n", [("A", 10), ("C", 7)])
+def test_measure_enumerates_groups_up_to_the_order_limit(monkeypatch, family, n):
+    monkeypatch.setattr(perm, "descent_classes", _enumerated)
+    with pytest.raises(Enumerated):
+        main(["measure", "--family", family, "--n", str(n), "--k", "2"])
+
+
+def test_measure_element_past_the_order_limit(capsys, monkeypatch):
+    # one coefficient enumerates nothing, so --element has no order limit
+    monkeypatch.setattr(perm, "descent_classes", _enumerated)
+    code, out = run(capsys, "measure", "--family", "A", "--n", "12", "--k", "2",
+                    "--element", ",".join(map(str, range(1, 13))))
+    assert code == 0
+    assert out.strip() == "1/2048"
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "masses.json"
     code, _ = run(
@@ -271,7 +315,7 @@ def test_bad_arguments_exit_2(capsys):
                  id="measure-k-0"),
     pytest.param(["measure", "--family", "A", "--n", "0", "--k", "2"], "measure",
                  id="measure-n-0"),
-    # refused by the library (the class index packs images as signed bytes)
+    # refused by the order limit, before the class index's n <= 127 is reached
     pytest.param(["measure", "--family", "A", "--n", "130", "--k", "2"], "measure",
                  id="measure-A-n-past-the-class-index"),
     pytest.param(["measure", "--family", "C", "--n", "128", "--k", "2"], "measure",

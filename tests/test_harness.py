@@ -324,20 +324,6 @@ FAULTS = {
 quick-profile argument tuple, and the witness of the report that must fail."""
 
 
-@pytest.fixture
-def cold_caches():
-    # Values cached before or under a fault would hide it or leak.
-    caches = (perm.descent_classes, closed_forms._type_a_coefficient,
-              closed_forms.x_k_measure_type_c, cellini._alcove_wall_sets,
-              cellini.x_k_generic, cellini._lattice_coefficient,
-              unimodal.enumerate_unimodal)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
-
-
 @pytest.mark.parametrize("name", sorted(FAULTS))
 def test_injected_fault_fails_the_check(name, monkeypatch, cold_caches):
     fault, args, witness = FAULTS[name]

@@ -22,11 +22,10 @@ from affine_shuffles.perm import (
     all_signed_permutations,
     convolve,
     cycle_type,
+    cyclic_descents,
     descent_classes,
     descent_histograms,
     invert_element,
-    type_a_stats,
-    type_c_stats,
 )
 
 
@@ -143,43 +142,38 @@ def test_signed_action_on_negatives():
     assert (w * w.inverse()) == SignedPermutation.identity(3)
 
 
-# --- type A statistics -----------------------------------------------------
+# --- cyclic descents in S_n -------------------------------------------------
 
-def test_type_a_stats_41325():
+def test_type_a_cyclic_descents_41325():
     # 3 cyclic descents and 2 descents; maj forced by the definition
-    st_ = type_a_stats(perm("4,1,3,2,5"))
-    assert st_.descents == frozenset({1, 3})
-    assert st_.maj == 4
-    assert st_.cd == 3
-    assert st_.cyclic_descents == frozenset({0, 1, 3})
+    cdes = cyclic_descents(perm("4,1,3,2,5"))
+    assert cdes == frozenset({0, 1, 3})
+    assert sum(cdes) == 4
 
 
-def test_type_a_stats_identity():
-    st_ = type_a_stats(Permutation.identity(5))
-    assert st_.descents == frozenset()
-    assert st_.maj == 0
-    assert st_.cd == 1  # affine position only
+def test_type_a_cyclic_descents_identity():
+    assert cyclic_descents(Permutation.identity(5)) == frozenset({0})  # affine position only
 
 
-def test_type_a_stats_321():
-    st_ = type_a_stats(perm("3,2,1"))
-    assert st_.descents == frozenset({1, 2})
-    assert st_.maj == 3
-    assert st_.cd == 2
+def test_type_a_cyclic_descents_321():
+    cdes = cyclic_descents(perm("3,2,1"))
+    assert cdes == frozenset({1, 2})
+    assert sum(cdes) == 3
 
 
 def test_type_a_cd_bounds():
     for n in range(2, 7):
         for w in all_permutations(n):
-            assert 1 <= type_a_stats(w).cd <= n
+            assert 1 <= len(cyclic_descents(w)) <= n
 
 
-def test_type_a_stats_match_definition():
+def test_type_a_cyclic_descents_match_definition():
     for n in range(1, 6):
         for w in all_permutations(n):
             descents = {i for i in range(1, n) if w(i) > w(i + 1)}
             cyclic = descents | ({0} if n >= 2 and w(n) > w(1) else set())
-            assert type_a_stats(w) == (descents, sum(descents), cyclic, len(cyclic)), w
+            cdes = cyclic_descents(w)
+            assert (cdes, len(cdes - {0}), sum(cdes)) == (cyclic, len(descents), sum(descents)), w
 
 
 # --- enumeration and the cyclic-descent class index ----------------------------
@@ -236,12 +230,11 @@ def test_descent_classes_refuse_sizes_past_signed_bytes(monkeypatch):
 
 @pytest.mark.parametrize("family, n", GROUPS + [("A", 7), ("C", 5)])
 def test_descent_classes_partition_the_group_in_enumeration_order(family, n):
-    # The oracle groups the elements by the descent statistics, which the
-    # index does not call.
-    stats = type_a_stats if family == "A" else type_c_stats
+    # The oracle groups the elements by ``cyclic_descents``, which the index
+    # does not call.
     expected = {}
     for w in _enumerate(family, n):
-        expected.setdefault(stats(w).cyclic_descents, []).append(w)
+        expected.setdefault(cyclic_descents(w), []).append(w)
     classes = descent_classes(family, n)
     # Classes in order of first occurrence; members in enumeration order.
     assert [c.cdes for c in classes] == list(expected)
@@ -254,9 +247,9 @@ def test_descent_classes_partition_the_group_in_enumeration_order(family, n):
     assert len(classes) == (1 if rank == 0 else 2 ** (rank + 1) - 2)
 
 
-# --- type C statistics -----------------------------------------------------
+# --- cyclic descents in C_n -------------------------------------------------
 
-def test_type_c_stats_match_definition():
+def test_type_c_cyclic_descents_match_definition():
     for n in range(1, 5):
         order = list(range(1, n + 1)) + list(range(-n, 0))  # 1 < .. < n < -n < .. < -1
         rank = {x: r for r, x in enumerate(order)}
@@ -264,23 +257,18 @@ def test_type_c_stats_match_definition():
             descents = {i for i in range(1, n) if rank[w(i)] > rank[w(i + 1)]}
             descents |= {n} if w(n) < 0 else set()
             cyclic = descents | ({0} if w(1) > 0 else set())
-            assert type_c_stats(w) == (descents, len(descents), cyclic, len(cyclic)), w
+            cdes = cyclic_descents(w)
+            assert (cdes, len(cdes - {0})) == (cyclic, len(descents)), w
 
 
-def test_type_c_stats_paper_example():
+def test_type_c_cyclic_descents_paper_example():
     # cyclic descent at position 1 and descents at positions 1 and 3
-    st_ = type_c_stats(sperm("3,1,-2,4,5"))
-    assert st_.descents == frozenset({1, 3})
-    assert st_.d == 2
-    assert st_.cd == 3
+    assert cyclic_descents(sperm("3,1,-2,4,5")) == frozenset({0, 1, 3})
 
 
-def test_type_c_stats_identity_and_negatives():
-    assert type_c_stats(SignedPermutation.identity(2)) == (frozenset(), 0, frozenset({0}), 1)
-    st_ = type_c_stats(sperm("-2,-1"))
-    assert st_.descents == frozenset({2})
-    assert st_.d == 1
-    assert st_.cd == 1
+def test_type_c_cyclic_descents_identity_and_negatives():
+    assert cyclic_descents(SignedPermutation.identity(2)) == frozenset({0})
+    assert cyclic_descents(sperm("-2,-1")) == frozenset({2})
 
 
 # --- cycle types ------------------------------------------------------------
@@ -378,7 +366,7 @@ def test_cd_histogram_matches_direct_count():
     n = 4
     _, N = descent_histograms(n)
     for r in range(1, n + 1):
-        direct = sum(1 for w in all_signed_permutations(n) if type_c_stats(w).cd == r)
+        direct = sum(1 for w in all_signed_permutations(n) if len(cyclic_descents(w)) == r)
         assert N[r - 1] == direct
 
 
