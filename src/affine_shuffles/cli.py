@@ -3,9 +3,10 @@
 Subcommands:
 
 * ``measure``  -- print an affine k-shuffle measure (group order at most
-  ``MEASURE_MAX_ORDER``) or one coefficient (any n);
+  ``MEASURE_MAX_ORDER``) or one coefficient (any n and k);
 * ``verify``   -- run a named verification check or the whole battery;
-* ``sample``   -- draw from one of the shuffle models with a fixed seed;
+* ``sample``   -- draw from one of the shuffle models with a fixed seed
+  (at most ``SAMPLE_MAX_COUNT`` draws);
 * ``unimodal`` -- list unimodal permutations or their shape histogram
   (n at most ``UNIMODAL_MAX_N``).
 
@@ -96,7 +97,8 @@ def _cmd_measure(args: argparse.Namespace, out: _Output) -> int:
     family, n, k = args.family, args.n, args.k
     if args.element is not None:
         if family == "A":
-            value = closed_forms.x_k_type_a(args.element, k)
+            # method 4, the von Sterneck route: its cost does not grow with k, method 1's does
+            value = closed_forms.x_k_type_a(args.element, k, method=4)
         else:
             value = closed_forms.x_k_type_c(args.element, k)
         if out.as_json:
@@ -226,6 +228,23 @@ def _unimodal_size(text: str) -> int:
 _unimodal_size.__name__ = "int"
 
 
+SAMPLE_MAX_COUNT = 100_000
+"""Largest ``sample --count``.  A draw takes about 10-60 microseconds for n
+up to 52 and the draws are printed at the end, so 100,000 draws take a few
+seconds; larger counts are refused before anything is drawn."""
+
+
+def _sample_count(text: str) -> int:
+    """argparse type for ``sample --count``: 0..``SAMPLE_MAX_COUNT``."""
+    count = _int_at_least(0)(text)
+    if count > SAMPLE_MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"at most {SAMPLE_MAX_COUNT:,}, got {count:,}")
+    return count
+
+
+_sample_count.__name__ = "int"
+
+
 MEASURE_MAX_ORDER = 3_628_800
 """Largest group order ``measure`` enumerates without ``--element``: 10!,
 which admits S_10 and C_7.  The class index holds n bytes per element and
@@ -298,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of piles for riffle and affine-c (default 2); "
                         "affine-a is the fixed two-pile cut and takes none")
     sample.add_argument("--seed", type=int, required=True)
-    sample.add_argument("--count", type=_int_at_least(0), default=1)
+    sample.add_argument("--count", type=_sample_count, default=1,
+                        help=f"number of draws, at most {SAMPLE_MAX_COUNT:,} (default 1)")
 
     uni = sub.add_parser("unimodal", help="unimodal permutations")
     uni.add_argument("--n", type=_unimodal_size, required=True,

@@ -1,21 +1,20 @@
 """Closed-form coefficients of the affine k-shuffle elements.
 
-Type A has three expressions for the coefficient of w, all in terms of the
+Type A has two expressions for the coefficient of w, both in terms of the
 cyclic descent number cd(w) and the major index maj(w), selected by
 ``method``:
 
 1. partitions with at most n-1 parts, each at most k - cd(w), of size
    congruent to -maj(w) mod n, divided by k^{n-1}; ``bounded_partition_count``
    counts the box by size mod n, in n integers however large k is;
-2. the transposed count (at most k - cd(w) parts, each at most n-1), equal
-   to method 1 only by the symmetry of the Gaussian binomial;
 4. a Ramanujan-sum expression via the von Sterneck count, with two special
-   branches at k = cd(w).
+   branches at k = cd(w), exact and O(1) in k.
 
-``method=3`` is an alias of method 1, kept because the benchmark calls it.
-With the per-element alcove count ``cellini.x_k_type_a_lattice`` these are
-the type A routes to x_k(w), and they rest on three independent arguments:
-the partition count, the von Sterneck/Ramanujan sum, and the alcove count.
+``method`` 2 and 3 are aliases of method 1, kept because the benchmark calls
+them.  With the per-element alcove count ``cellini.x_k_type_a_lattice``
+these are the type A routes to x_k(w), and they rest on three independent
+arguments: the partition count, the von Sterneck/Ramanujan sum, and the
+alcove count.
 
 Type C has a single binomial formula, split by the parity of k, in terms of
 the descent number d(w) (k odd) or the cyclic descent number cd(w) (k even).
@@ -52,8 +51,8 @@ __all__ = [
 
 
 def x_k_type_a(w: Permutation, k: int, method: int = 1) -> Fraction:
-    """Coefficient of w in the type A affine k-shuffle, by one of three routes
-    (``method`` 1, 2 or 4; 3 is an alias of 1)."""
+    """Coefficient of w in the type A affine k-shuffle, by one of two routes
+    (``method`` 1 or 4; 2 and 3 are aliases of 1)."""
     if not isinstance(w, Permutation):
         raise ValueError(f"x_k_type_a needs a Permutation, got {w!r}")
     if k < 1:
@@ -62,10 +61,8 @@ def x_k_type_a(w: Permutation, k: int, method: int = 1) -> Fraction:
     cdes = cyclic_descents(w)
     cd, maj = len(cdes), sum(cdes) % n  # every route reads maj only mod n
     denom = k ** (n - 1)
-    if method in (1, 3):
+    if method in (1, 2, 3):
         return Fraction(bounded_partition_count(n - 1, k - cd, n, -maj), denom)
-    if method == 2:
-        return Fraction(bounded_partition_count(k - cd, n - 1, n, -maj), denom)
     if method == 4:
         if k - cd > 0:
             return Fraction(von_sterneck(n, k - cd, -maj), denom)

@@ -9,8 +9,9 @@ compared low-degree first as integers), the irreducibles of each degree are
 sieved by marking every product of irreducibles of lower degree with the
 walk below, and all arithmetic is exact.  A modulus passed to
 ``FieldContext`` is checked by membership in the prime field's sieve.
-Polynomial division and ``factor`` share one long-division kernel that works
-on coefficient codes through the field's operation tables.
+Polynomial arithmetic, ``factor`` and the walks share two kernels on codes,
+``_times`` and ``_long_division``; over F_p they also build the tables of
+F_{p^e}, multiplying digit vectors and reducing by the modulus.
 
 The class measures factor nothing.  By unique factorization each reducible
 polynomial is a product of irreducibles of lower degree in exactly one way,
@@ -43,7 +44,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator
 
-from .numth import divisors, mobius, power
+from .numth import divisors, mobius
 from .perm import ClassMeasure, CycleType, SignedCycleType
 
 __all__ = [
@@ -96,47 +97,27 @@ class FieldContext:
         self._build_tables()
 
     def _build_tables(self) -> None:
-        p, e, q = self.p, self.e, self.q
-        # z^e = -(m_0 + m_1 z + ... + m_{e-1} z^{e-1}) mod p
-        reduction = tuple((-c) % p for c in self.modulus[:e])
+        p, e = self.p, self.e
+        if e == 1:
+            self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
+            self._mul = [[a * b % p for b in range(p)] for a in range(p)]
+        else:
+            # A code's base-p digits are a polynomial over F_p of degree < e:
+            # a product goes through the prime field's kernels, then the modulus.
+            prime = make_field(p, 1)
+            weights = [p**i for i in range(e)]
+            elems = [[c // w % p for w in weights] for c in range(self.q)]
 
-        def decode(code: int) -> list[int]:
-            digits = []
-            for _ in range(e):
-                code, r = divmod(code, p)
-                digits.append(r)
-            return digits
+            def encode(digits) -> int:
+                return sum(map(operator.mul, weights, digits))
 
-        def encode(digits: list[int]) -> int:
-            code = 0
-            for d in reversed(digits):
-                code = code * p + d
-            return code
-
-        self._add = [[0] * q for _ in range(q)]
-        self._mul = [[0] * q for _ in range(q)]
-        elems = [decode(c) for c in range(q)]
-        for a in range(q):
-            for b in range(q):
-                self._add[a][b] = encode([(x + y) % p for x, y in zip(elems[a], elems[b])])
-                conv = [0] * (2 * e - 1)
-                for i, x in enumerate(elems[a]):
-                    if x:
-                        for j, y in enumerate(elems[b]):
-                            conv[i + j] = (conv[i + j] + x * y) % p
-                for idx in range(2 * e - 2, e - 1, -1):
-                    c = conv[idx]
-                    if c:
-                        conv[idx] = 0
-                        for j in range(e):
-                            conv[idx - e + j] = (conv[idx - e + j] + c * reduction[j]) % p
-                self._mul[a][b] = encode(conv[:e])
+            self._add = [[encode([(x + y) % p for x, y in zip(a, b)]) for b in elems]
+                         for a in elems]
+            self._mul = [[encode(_long_division(prime, _times(prime, a, b), self.modulus)[1])
+                          for b in elems] for a in elems]
         self._neg = [row.index(0) for row in self._add]
         self._sub = [[row[n] for n in self._neg] for row in self._add]
-        self._inv = [0] * q
-        for a in range(1, q):
-            row = self._mul[a]
-            self._inv[a] = row.index(1)
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -283,9 +264,6 @@ class FqPoly:
         quot, rem = _long_division(F, self.coeffs, other.coeffs)
         return FqPoly(F, tuple(quot)), FqPoly(F, tuple(rem))
 
-    def __pow__(self, exponent: int) -> "FqPoly":
-        return power(self, exponent, FqPoly(self.field, (1,)))
-
     def _common_field(self, other: "FqPoly") -> FieldContext:
         if self.field != other.field:
             raise ValueError("polynomials over different fields")
@@ -339,7 +317,8 @@ class Factorization:
     def product(self) -> FqPoly:
         result = self.field.poly((1,))
         for poly, mult in self.factors:
-            result = result * poly**mult
+            for _ in range(mult):
+                result = result * poly
         return result
 
 

@@ -1,4 +1,5 @@
-"""Number-theoretic kernels, all in exact integer arithmetic.
+"""Number-theoretic kernels (divisors, Moebius, binomials, Ramanujan sums,
+von Sterneck counts, partitions in a box), all in exact integer arithmetic.
 
 Nothing here touches floating point: Ramanujan sums go through the divisor
 formula, von Sterneck counts are divided exactly, and the partitions in a box
@@ -13,7 +14,6 @@ import operator
 from functools import lru_cache
 
 __all__ = [
-    "power",
     "mobius",
     "divisors",
     "binomial",
@@ -21,23 +21,6 @@ __all__ = [
     "von_sterneck",
     "bounded_partition_count",
 ]
-
-
-def power(base, exponent: int, one):
-    """``base`` to a nonnegative integer power by square-and-multiply.
-
-    ``one`` is the multiplicative identity of ``base``'s ring; only ``*`` is used.
-    """
-    if exponent < 0:
-        raise ValueError("negative exponent")
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = result * base
-        exponent >>= 1
-        if exponent:
-            base = base * base
-    return result
 
 
 def divisors(n: int) -> list[int]:

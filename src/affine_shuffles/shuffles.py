@@ -32,7 +32,6 @@ cut stacks of ``_stacks_for_cut``.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import re
@@ -124,7 +123,6 @@ def riffle_distribution(n: int, k: int) -> GroupAlgebraElement:
     return GroupAlgebraElement.probability(GroupKind("A", n), masses)
 
 
-@functools.lru_cache(maxsize=512)
 def _stacks_for_cut(
     sizes: tuple[int, ...], flip_odd_indexed: bool | None
 ) -> tuple[tuple[int, ...], ...]:
@@ -201,7 +199,6 @@ def riffle_sample(n: int, k: int, rng: random.Random) -> Permutation:
 _BLOCK_WORDS = 1 << 15
 
 
-@functools.lru_cache(maxsize=16)
 def _plan_scanner(plan: tuple[int, ...]) -> tuple[re.Pattern[bytes], bytes, tuple[int, ...]]:
     # randrange(m) reads b = m.bit_length() top bits of a word and rejects a
     # value >= m.  Every top byte is cut down to its top B bits (B, the widest

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from affine_shuffles import harness, perm, unimodal
-from affine_shuffles.cli import main
+from affine_shuffles import closed_forms, harness, perm, shuffles, unimodal
+from affine_shuffles.cli import SAMPLE_MAX_COUNT, main
 from affine_shuffles.harness import CHECKS
 
 
@@ -236,6 +236,60 @@ def test_measure_element_past_the_order_limit(capsys, monkeypatch):
                     "--element", ",".join(map(str, range(1, 13))))
     assert code == 0
     assert out.strip() == "1/2048"
+
+
+def _partition_count_forbidden(*args):
+    raise AssertionError("method 1's partition count was called")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 12])
+def test_measure_element_gives_method_1_value(capsys, k):
+    for w in perm.GroupKind("A", 4).elements():
+        code, out = run(capsys, "measure", "--family", "A", "--n", "4", "--k", str(k),
+                        "--element", w.to_text())
+        assert code == 0
+        want = closed_forms.x_k_type_a(w, k, 1)
+        assert out.strip() == f"{want.numerator}/{want.denominator}", (w, k)
+
+
+def test_measure_element_at_huge_k(capsys, monkeypatch):
+    # the CLI reads the von Sterneck route; method 1's residue table has a
+    # column per unit of k and would not finish at this k
+    monkeypatch.setattr(closed_forms, "bounded_partition_count", _partition_count_forbidden)
+    code, out = run(capsys, "measure", "--family", "A", "--n", "3",
+                    "--k", str(10**20), "--element", "2,1,3")
+    assert code == 0
+    # (k - 1) / 6k, as method 1 gives at k = 4, 7, 10, 13 (k = 1 mod 3)
+    assert out.strip() == "33333333333333333333/200000000000000000000"
+
+
+def _drawn(*args):
+    raise AssertionError("a draw was made")
+
+
+@pytest.mark.parametrize("model", ["riffle", "affine-a", "affine-c"])
+def test_sample_refuses_count_past_the_limit(capsys, monkeypatch, model):
+    # refused while parsing, before any draw
+    for name in ("riffle_sample", "affine_a_2shuffle_sample", "affine_c_shuffle_sample"):
+        monkeypatch.setattr(shuffles, name, _drawn)
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--model", model, "--n", "3", "--seed", "1",
+              "--count", str(SAMPLE_MAX_COUNT + 1)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: affine-shuffles sample")
+    assert captured.err.endswith("error: argument --count: at most 100,000, got 100,001\n")
+
+
+def test_sample_draws_up_to_the_count_limit(capsys, monkeypatch):
+    # a stand-in draw keeps the full count cheap
+    one = perm.Permutation((1,))
+    monkeypatch.setattr(shuffles, "riffle_sample", lambda n, k, rng: one)
+    code, out = run(capsys, "sample", "--model", "riffle", "--n", "1", "--seed", "1",
+                    "--count", str(SAMPLE_MAX_COUNT))
+    assert code == 0
+    assert out == "1\n" * SAMPLE_MAX_COUNT
 
 
 def test_out_file(tmp_path, capsys):

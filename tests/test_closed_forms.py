@@ -37,6 +37,7 @@ def test_closed_forms_reject_the_other_family(route, w, expected):
 
 
 def test_type_a_frozen_values():
+    # 2 and 3 are aliases of method 1, still accepted because the benchmark calls them
     for method in (1, 2, 3, 4):
         assert x_k_type_a(perm("1,2,3"), 3, method) == Fraction(2, 9)
         assert x_k_type_a(perm("1,3,2"), 2, method) == Fraction(0)
@@ -65,7 +66,6 @@ def test_partition_methods_reach_large_k(k):
         w = perm(text)
         expected = x_k_type_a(w, k, 4)
         assert x_k_type_a(w, k, 1) == expected, (text, k)
-        assert x_k_type_a(w, k, 2) == expected, (text, k)
 
 
 def test_methods_agree_with_lattice_and_generic():

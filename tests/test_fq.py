@@ -92,6 +92,52 @@ def test_field_axioms_small():
                     )
 
 
+def schoolbook_tables(p, e, modulus):
+    """Addition and multiplication tables of F_p[z]/(modulus) on codes, by
+    integer convolution and reduction mod the monic ``modulus``, digit by digit."""
+    digits = [[c // p**i % p for i in range(e)] for c in range(p**e)]
+
+    def code(vector):
+        return sum(d * p**i for i, d in enumerate(vector))
+
+    def times(a, b):
+        conv = [0] * (2 * e - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+        for top in range(2 * e - 2, e - 1, -1):  # subtract c z^(top-e) times the modulus
+            c = conv[top]
+            for j, m in enumerate(modulus):
+                conv[top - e + j] -= c * m
+        return code(c % p for c in conv[:e])
+
+    add = [[code((x + y) % p for x, y in zip(a, b)) for b in digits] for a in digits]
+    mul = [[times(a, b) for b in digits] for a in digits]
+    return add, mul
+
+
+@pytest.mark.parametrize("field", [make_field(2, 2), make_field(2, 3), make_field(3, 2),
+                                   make_field(2, 4), make_field(5, 2), make_field(3, 3), F9_ALT],
+                         ids=lambda f: f"F{f.q}-{''.join(map(str, f.modulus))}")
+def test_extension_tables_match_schoolbook_product(field):
+    # The tables must be reduced by this field's own modulus: F9 and F9_ALT
+    # satisfy the same axioms, so only an oracle that reads it tells them apart.
+    add, mul = schoolbook_tables(field.p, field.e, field.modulus)
+    assert field._add == add
+    assert field._mul == mul
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_prime_field_tables_are_modular_arithmetic(p):
+    field = make_field(p, 1)
+    for a in range(p):
+        assert field._add[a] == [(a + b) % p for b in range(p)]
+        assert field._mul[a] == [a * b % p for b in range(p)]
+        assert field._sub[a] == [(a - b) % p for b in range(p)]
+        if a:
+            assert field.inv(a) == pow(a, -1, p)
+
+
 # --- polynomial arithmetic ---------------------------------------------------
 
 def test_poly_text_round_trip():

@@ -244,7 +244,7 @@ FAULTS = {
     "four_formulas": (
         _partition_count_off_in_one_box, (4, 4),
         {"element": "1,2,3,4", "k": 2,
-         "values (methods 1, 2, 4, lattice)": [Fraction(1, 4)] + [Fraction(1, 8)] * 3},
+         "values (methods 1, 4, lattice)": [Fraction(1, 4)] + [Fraction(1, 8)] * 2},
     ),
     "gannon_law": (
         _shape_multiset_read_as_a_set, (5,),

@@ -135,7 +135,7 @@ def test_bounded_partition_against_enumeration():
 
 
 def test_bounded_partition_transposition_symmetry():
-    # closed-form method 2 counts method 1's box transposed
+    # a box and its transpose hold partitions of the same sizes (conjugation)
     for a in range(-1, 10):
         for b in range(-1, 10):
             for n in range(1, 11):
