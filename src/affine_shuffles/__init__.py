@@ -28,7 +28,6 @@ from .numth import (
 )
 from .cellini import (
     RootSystem,
-    a_k_I,
     alcove_points,
     verify_cellini_properties,
     wall_set,

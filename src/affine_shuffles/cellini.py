@@ -42,7 +42,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .perm import (
     GroupAlgebraElement,
@@ -57,7 +57,6 @@ __all__ = [
     "RootSystem",
     "alcove_points",
     "wall_set",
-    "a_k_I",
     "x_k_generic",
     "x_k_type_a_lattice",
     "verify_cellini_properties",
@@ -190,14 +189,6 @@ def wall_set(rs: RootSystem, k: int, y: Vector) -> frozenset[int]:
 @lru_cache(maxsize=256)
 def _alcove_wall_sets(rs: RootSystem, k: int) -> tuple[tuple[Vector, frozenset[int]], ...]:
     return tuple((y, wall_set(rs, k, y)) for y in alcove_points(rs, k))
-
-
-def a_k_I(rs: RootSystem, k: int, I: Iterable[int]) -> int:
-    """Number of dilated-alcove lattice points whose wall set is exactly I."""
-    wanted = frozenset(I)
-    if not wanted <= set(range(rs.rank + 1)):
-        raise ValueError(f"I must be a subset of 0..{rs.rank}")
-    return sum(1 for _, walls in _alcove_wall_sets(rs, k) if walls == wanted)
 
 
 @lru_cache(maxsize=128)

@@ -6,7 +6,7 @@ Subcommands:
   ``MEASURE_MAX_ORDER``) or one coefficient (any n and k);
 * ``verify``   -- run a named verification check or the whole battery;
 * ``sample``   -- draw from one of the shuffle models with a fixed seed
-  (at most ``SAMPLE_MAX_COUNT`` draws);
+  (at most ``SAMPLE_MAX_COUNT`` draws and ``SAMPLE_MAX_CARDS`` cards);
 * ``unimodal`` -- list unimodal permutations or their shape histogram
   (n at most ``UNIMODAL_MAX_N``).
 
@@ -229,9 +229,11 @@ _unimodal_size.__name__ = "int"
 
 
 SAMPLE_MAX_COUNT = 100_000
-"""Largest ``sample --count``.  A draw takes about 10-60 microseconds for n
-up to 52 and the draws are printed at the end, so 100,000 draws take a few
-seconds; larger counts are refused before anything is drawn."""
+SAMPLE_MAX_CARDS = 52 * SAMPLE_MAX_COUNT
+"""Largest ``sample --count``, and largest ``--n`` times ``--count``.  A draw
+takes about 10-60 microseconds for n up to 52, linear in n, and the draws are
+printed at the end, so 100,000 draws of 52 cards take a few seconds; more
+are refused before anything is drawn."""
 
 
 def _sample_count(text: str) -> int:
@@ -352,6 +354,10 @@ def main(argv: list[str] | None = None) -> int:
                          "the fixed two-pile cut")
         if args.k is None:
             args.k = 2
+        if args.n * args.count > SAMPLE_MAX_CARDS:
+            args.subparser.error(
+                f"argument --n: n times --count is at most {SAMPLE_MAX_CARDS:,} cards, "
+                f"got {args.n:,} x {args.count:,} = {args.n * args.count:,}")
         return _cmd_sample(args, out)
     if args.command == "unimodal":
         return _cmd_unimodal(args, out)

@@ -11,7 +11,8 @@ walk below, and all arithmetic is exact.  A modulus passed to
 ``FieldContext`` is checked by membership in the prime field's sieve.
 Polynomial arithmetic, ``factor`` and the walks share two kernels on codes,
 ``_times`` and ``_long_division``; over F_p they also build the tables of
-F_{p^e}, multiplying digit vectors and reducing by the modulus.
+F_{p^e}, multiplying digit vectors and reducing by the modulus.  ``factor``
+reads the sieve only to split factors of equal degree.
 
 The class measures factor nothing.  By unique factorization each reducible
 polynomial is a product of irreducibles of lower degree in exactly one way,
@@ -149,8 +150,8 @@ class FieldContext:
         if degree < 1:
             raise ValueError("degree must be >= 1")
         if degree not in self._irreducibles:
-            blocks = [g.coeffs for d in range(1, degree) for g in self.irreducibles(d)]
             products = _Products(self, degree, degree, first=0)
+            blocks = [g.coeffs for d in range(1, degree) for g in self.irreducibles(d)]
             for product, _, lo, hi in _block_walk(self, blocks, degree):
                 for i in range(lo, hi):
                     products.mark(_times(self, product, blocks[i]))
@@ -323,34 +324,61 @@ class Factorization:
 
 
 def factor(f: FqPoly) -> Factorization:
-    """Factor a monic polynomial by trial division with sieved irreducibles."""
+    """Factor a monic polynomial by distinct degrees: with the factors of
+    degree below d divided out, gcd(remaining, z^(q^d) - z) is the product of
+    those of degree d, split by the sieved irreducibles of degree d only when
+    it holds two or more."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     if not f.is_monic:
         raise ValueError("factor expects a monic polynomial")
     field = f.field
     remaining = f.coeffs
+    h = [0, 1]  # z^(q^d) mod remaining
     found: list[tuple[FqPoly, int]] = []
     d = 1
     while 2 * d < len(remaining):
-        for g in field.irreducibles(d):
-            # no factor of degree < d is left, so below degree 2d it is irreducible
-            if 2 * d >= len(remaining):
-                break
-            mult = 0
-            while True:
-                quot, rem = _long_division(field, remaining, g.coeffs)
-                if any(rem):
+        h = _qth_power(field, h, remaining)
+        g = _monic_gcd(field, remaining, [h[0], field._sub[h[1]][1]] + h[2:])
+        if len(g) > 1:
+            for c in field.irreducibles(d) if len(g) > d + 1 else (field.poly(g),):
+                if len(g) == 1:
                     break
-                remaining = tuple(quot)
-                mult += 1
-            if mult:
-                found.append((g, mult))
+                quot, rem = _long_division(field, g, c.coeffs)
+                if any(rem):
+                    continue
+                g, mult = quot, 0
+                quot, rem = _long_division(field, remaining, c.coeffs)
+                while not any(rem):
+                    remaining, mult = tuple(quot), mult + 1
+                    quot, rem = _long_division(field, remaining, c.coeffs)
+                found.append((c, mult))
+            h = _long_division(field, h, remaining)[1]
         d += 1
     if len(remaining) > 1:
         found.append((field.poly(remaining), 1))
     found.sort(key=lambda pair: pair[0].sort_key())
     return Factorization(field, tuple(found))
+
+
+def _qth_power(field: FieldContext, h: list[int], modulus: tuple) -> list[int]:
+    """h^q mod the monic modulus, by square-and-multiply; h is reduced."""
+    out = h
+    for bit in bin(field.q)[3:]:
+        out = _long_division(field, _times(field, out, out), modulus)[1]
+        if bit == "1":
+            out = _long_division(field, _times(field, out, h), modulus)[1]
+    return out
+
+
+def _monic_gcd(field: FieldContext, a: tuple, b: list[int]) -> list[int]:
+    """Monic gcd of the nonzero a and the list b (consumed, may end in zeros)."""
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        a, b = b, _long_division(field, a, b)[1]
+    scale = field._mul[field._inv[a[-1]]]
+    return [scale[c] for c in a]
 
 
 def count_irreducibles(n: int, q: int) -> int:
@@ -452,6 +480,9 @@ def _block_walk(field: FieldContext, blocks: list, target: int, single=frozenset
     return walk((1,), 0, target)
 
 
+TABLE_MAX_ENTRIES = 2**24  # F_2 to degree 24; refused before any lower degree is sieved
+
+
 class _Products:
     """Marks each product of a walk in a table of all candidates, so that a
     repeat is caught without keeping the products.  The table index reads
@@ -462,6 +493,9 @@ class _Products:
 
     def __init__(self, field: FieldContext, degree: int, digits: int, first: int = 1):
         self.where = f"degree {degree} over F_{field.q}"
+        if field.q**digits > TABLE_MAX_ENTRIES:
+            raise ValueError(f"{self.where} needs a table of {field.q}^{digits} = "
+                             f"{field.q**digits:,} entries, more than {TABLE_MAX_ENTRIES:,}")
         self.q = field.q
         self.weights = [0] * first + [field.q ** (digits - 1 - i) for i in range(digits)]
         self.seen = bytearray(field.q**digits)
@@ -496,8 +530,8 @@ def sl_class_measure(n: int, q: int, field: FieldContext | None = None) -> Class
     if n < 1:
         raise ValueError("n must be positive")
     field = _resolve_field(q, field)
-    blocks = [g.coeffs for d in range(1, n) for g in field.irreducibles(d) if g.coeffs[0]]
     products = _Products(field, n, n - 1)
+    blocks = [g.coeffs for d in range(1, n) for g in field.irreducibles(d) if g.coeffs[0]]
     counts: dict[CycleType, int] = {}
     leaves = 0
     for product, chosen, lo, hi in _block_walk(field, blocks, n):
@@ -537,6 +571,7 @@ def _palindromic_types(field: FieldContext, n: int) -> dict[SignedCycleType, int
     the self-conjugate irreducibles of degree 2n; they are cached on the
     field for the walks above this one.
     """
+    products = _Products(field, 2 * n, n)
     blocks = [_times(field, (c, 1), (c, 1)) for c in sorted({1, field._neg[1]})]
     single: set[int] = set()
     for m in range(1, n + 1):
@@ -550,7 +585,6 @@ def _palindromic_types(field: FieldContext, n: int) -> dict[SignedCycleType, int
             for g in _self_conjugates(field, 2 * m):
                 single.add(len(blocks))
                 blocks.append(g.coeffs)
-    products = _Products(field, 2 * n, n)
     counts: dict[tuple, int] = {}  # (lam, mu) -> palindromes
     for product, chosen, lo, hi in _block_walk(field, blocks, 2 * n, single):
         ends_in_mu = 0

