@@ -8,7 +8,10 @@ lexicographically smallest monic irreducible of degree e (coefficients
 compared low-degree first as integers), the irreducibles of each degree are
 sieved by marking every product of irreducibles of lower degree with the
 walk below, and all arithmetic is exact.  A modulus passed to
-``FieldContext`` is checked by membership in the prime field's sieve.
+``FieldContext`` is checked by membership in the prime field's sieve.  The
+fields, the sieve and the type C walk are memoised only by bounded
+``lru_cache``s, so clearing them clears everything ``fq`` remembers, and a
+field of more than ``FIELD_MAX_ORDER`` elements is refused before any work.
 Polynomial arithmetic, ``factor`` and the walks share two kernels on codes,
 ``_times`` and ``_long_division``; over F_p they also build the tables of
 F_{p^e}, multiplying digit vectors and reducing by the modulus.  ``factor``
@@ -41,8 +44,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .numth import divisors, mobius
@@ -74,6 +79,20 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+FIELD_MAX_ORDER = 1024
+"""Largest field order q = p**e accepted.  Each table holds q**2 entries,
+and an extension field's products go through the prime field's kernels:
+``make_field(2, 8)`` takes about 0.5 s, ``make_field(1031, 1)`` 0.26 s and
+``make_field(2, 10)`` 9.1 s, with a peak of 168 MiB across the three.  F_q
+for q = 10**9 + 7 would need tables of 10**18 entries."""
+
+
+def _refuse_large_order(p: int, e: int) -> None:
+    # e is checked first so that p**e is never a huge integer
+    if e >= FIELD_MAX_ORDER.bit_length() or p**e > FIELD_MAX_ORDER:
+        raise ValueError(f"F_{p}^{e} has more than FIELD_MAX_ORDER = {FIELD_MAX_ORDER} elements")
+
+
 class FieldContext:
     """Arithmetic context for F_{p^e} with precomputed operation tables."""
 
@@ -84,12 +103,11 @@ class FieldContext:
             raise ValueError("extension degree must be >= 1")
         if len(modulus) != e + 1 or modulus[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {e}")
+        _refuse_large_order(p, e)
         self.p = p
         self.e = e
         self.q = p**e
         self.modulus = tuple(c % p for c in modulus[:-1]) + (1,)
-        self._irreducibles: dict[int, tuple["FqPoly", ...]] = {}
-        self._self_conjugates: dict[int, tuple["FqPoly", ...]] = {}
         if e > 1:
             # before the tables: a reducible modulus has no inverse table
             prime = make_field(p, 1)
@@ -142,26 +160,27 @@ class FieldContext:
         for lower in itertools.product(range(self.q), repeat=degree):
             yield self.poly(lower + (1,))
 
+    @lru_cache(maxsize=256)
     def irreducibles(self, degree: int) -> tuple["FqPoly", ...]:
         """All monic irreducibles of the given degree, in ``all_monic`` order,
-        cached.  They are sieved the way Eratosthenes sieves primes: every
-        product of irreducibles of lower degree is marked once, and the
-        polynomials left unmarked are the irreducibles."""
+        in a bounded ``lru_cache`` keyed by (field, degree).  They are sieved
+        the way Eratosthenes sieves primes: every product of irreducibles of
+        lower degree is marked once, and the polynomials left unmarked are
+        the irreducibles.  The lower degrees are read through
+        ``self.irreducibles``, the class attribute, so patching it reaches them."""
         if degree < 1:
             raise ValueError("degree must be >= 1")
-        if degree not in self._irreducibles:
-            products = _Products(self, degree, degree, first=0)
-            blocks = [g.coeffs for d in range(1, degree) for g in self.irreducibles(d)]
-            for product, _, lo, hi in _block_walk(self, blocks, degree):
-                for i in range(lo, hi):
-                    products.mark(_times(self, product, blocks[i]))
-            found = [self.poly(d + (1,)) for d in products.unmarked()]
-            expected = count_irreducibles(degree, self.q)
-            if len(found) != expected:
-                raise ArithmeticError(f"degree {degree} over F_{self.q}: sieve found "
-                                      f"{len(found)} irreducibles, Gauss's count is {expected}")
-            self._irreducibles[degree] = tuple(found)
-        return self._irreducibles[degree]
+        products = _Products(self, degree, degree, first=0)
+        blocks = [g.coeffs for d in range(1, degree) for g in self.irreducibles(d)]
+        for product, _, lo, hi in _block_walk(self, blocks, degree):
+            for i in range(lo, hi):
+                products.mark(_times(self, product, blocks[i]))
+        found = tuple(self.poly(d + (1,)) for d in products.unmarked())
+        expected = count_irreducibles(degree, self.q)
+        if len(found) != expected:
+            raise ArithmeticError(f"degree {degree} over F_{self.q}: sieve found "
+                                  f"{len(found)} irreducibles, Gauss's count is {expected}")
+        return found
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldContext):
@@ -175,40 +194,33 @@ class FieldContext:
         return f"FieldContext(p={self.p}, e={self.e}, modulus={self.modulus})"
 
 
-_FIELD_CACHE: dict[tuple[int, int], FieldContext] = {}
-
-
+@lru_cache(maxsize=64)
 def make_field(p: int, e: int) -> FieldContext:
-    """Field context for F_{p^e}, cached.
+    """Field context for F_{p^e}, in a bounded ``lru_cache``.
 
     The modulus is the lexicographically smallest monic irreducible of
     degree e (for e = 1 the polynomial z), so repeated calls are
-    deterministic.
+    deterministic.  An order above ``FIELD_MAX_ORDER`` is refused before
+    the modulus is sieved for.
     """
-    key = (p, e)
-    if key in _FIELD_CACHE:
-        return _FIELD_CACHE[key]
+    _refuse_large_order(p, e)
     modulus = (0, 1) if e == 1 else make_field(p, 1).irreducibles(e)[0].coeffs
-    field = FieldContext(p, e, modulus)
-    _FIELD_CACHE[key] = field
-    return field
+    return FieldContext(p, e, modulus)
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Decompose q = p^e with p prime, or raise."""
+    """Decompose q = p^e with p prime, or raise.  p is the least divisor
+    above 1, which is q itself when none is found up to isqrt(q)."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-    raise ValueError(f"{q} is not a prime power")
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    e, m = 0, q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 @dataclass(frozen=True)
@@ -427,15 +439,6 @@ def count_self_conjugate_irreducibles(n: int, q: int) -> int:
     return count
 
 
-def _resolve_field(q: int, field: FieldContext | None) -> FieldContext:
-    if field is not None:
-        if field.q != q:
-            raise ValueError(f"field has order {field.q}, expected {q}")
-        return field
-    p, e = prime_power(q)
-    return make_field(p, e)
-
-
 def _times(field: FieldContext, a, b) -> list[int]:
     """Codes of the product of two nonzero polynomials given by their codes."""
     mul, add = field._mul, field._add
@@ -517,7 +520,7 @@ class _Products:
         raise ArithmeticError(f"{self.where}: {message}")
 
 
-def sl_class_measure(n: int, q: int, field: FieldContext | None = None) -> ClassMeasure:
+def sl_class_measure(n: int, q: int) -> ClassMeasure:
     """Factor-degree partition distribution of a uniform monic degree-n
     polynomial with constant term 1 over F_q.
 
@@ -529,7 +532,7 @@ def sl_class_measure(n: int, q: int, field: FieldContext | None = None) -> Class
     """
     if n < 1:
         raise ValueError("n must be positive")
-    field = _resolve_field(q, field)
+    field = make_field(*prime_power(q))
     products = _Products(field, n, n - 1)
     blocks = [g.coeffs for d in range(1, n) for g in field.irreducibles(d) if g.coeffs[0]]
     counts: dict[CycleType, int] = {}
@@ -558,8 +561,10 @@ def sl_class_measure(n: int, q: int, field: FieldContext | None = None) -> Class
     return ClassMeasure.from_counts(counts, q ** (n - 1))
 
 
-def _palindromic_types(field: FieldContext, n: int) -> dict[SignedCycleType, int]:
-    """Counts of the monic degree-2n palindromic polynomials by signed type.
+@lru_cache(maxsize=128)
+def _palindromic_types(field: FieldContext, n: int) -> tuple[dict, tuple[FqPoly, ...]]:
+    """Counts of the monic degree-2n palindromic polynomials by signed type,
+    and the palindromes left over, in a bounded ``lru_cache``.
 
     The blocks are the factors of the type C product, sorted by degree.  A
     repeatable block of degree 2m gives a part m to lam: (z -/+ 1)^2,
@@ -568,8 +573,9 @@ def _palindromic_types(field: FieldContext, n: int) -> dict[SignedCycleType, int
     used at most once gives m to mu: the self-conjugate irreducibles of
     degree 2m < 2n.  As g^k = g^(k mod 2) (g^2)^(k // 2), each palindrome is
     one product of blocks.  The palindromes that are no product of blocks are
-    the self-conjugate irreducibles of degree 2n; they are cached on the
-    field for the walks above this one.
+    the self-conjugate irreducibles of degree 2n, which the walks above this
+    one take as blocks.  The counts are shared by every caller: read them,
+    never change them.
     """
     products = _Products(field, 2 * n, n)
     blocks = [_times(field, (c, 1), (c, 1)) for c in sorted({1, field._neg[1]})]
@@ -607,22 +613,20 @@ def _palindromic_types(field: FieldContext, n: int) -> dict[SignedCycleType, int
     if len(left) != expected:
         products.fail(f"{len(left)} palindromes are not products, "
                       f"the self-conjugate count is {expected}")
-    field._self_conjugates[2 * n] = left
     counts[(), (n,)] = len(left)
-    return {SignedCycleType(*key): c for key, c in counts.items()}
+    return {SignedCycleType(*key): c for key, c in counts.items()}, left
 
 
 def _self_conjugates(field: FieldContext, degree: int) -> tuple[FqPoly, ...]:
-    """The monic self-conjugate irreducibles of even degree, cached on the field."""
-    if degree not in field._self_conjugates:
-        _palindromic_types(field, degree // 2)
-    return field._self_conjugates[degree]
+    """The monic self-conjugate irreducibles of even degree: the palindromes
+    that the type C walk of that degree leaves over."""
+    return _palindromic_types(field, degree // 2)[1]
 
 
-def sp_class_measure(n: int, q: int, field: FieldContext | None = None) -> ClassMeasure:
+def sp_class_measure(n: int, q: int) -> ClassMeasure:
     """Signed-cycle-type distribution of a uniform monic degree-2n palindromic
     polynomial over F_q, read off the products of ``_palindromic_types``."""
     if n < 1:
         raise ValueError("n must be positive")
-    field = _resolve_field(q, field)
-    return ClassMeasure.from_counts(_palindromic_types(field, n), q**n)
+    counts, _ = _palindromic_types(make_field(*prime_power(q)), n)
+    return ClassMeasure.from_counts(counts, q**n)

@@ -497,16 +497,8 @@ class GroupAlgebraElement:
     def coefficient(self, w: GroupElement) -> Fraction:
         return self.coeffs.get(w, Fraction(0))
 
-    def total(self) -> Fraction:
-        numerators, denom = _over_common_denominator(self.coeffs.values())
-        return Fraction(sum(numerators), denom)
-
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return convolve(self, other)
-
-    @classmethod
-    def delta(cls, kind: GroupKind, w: GroupElement) -> "GroupAlgebraElement":
-        return cls(kind, {w: Fraction(1)})
 
     @classmethod
     def probability(cls, kind: GroupKind, coeffs: Mapping) -> "GroupAlgebraElement":

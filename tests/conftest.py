@@ -31,7 +31,9 @@ def lru_caches():
 def cold_caches(lru_caches):
     """Clear every ``lru_cache`` before the test and after it: values cached
     before a monkeypatched fault would hide it, and values computed under
-    the fault would leak into later tests."""
+    the fault would leak into later tests.  The package memoises only
+    through ``lru_cache``s, ``fq``'s fields and sieve included, so a test
+    under this fixture starts from what a fresh process remembers."""
     for cache in lru_caches.values():
         cache.cache_clear()
     yield

@@ -38,6 +38,17 @@ def poly(field, text):
     return FqPoly.from_text(field, text)
 
 
+def measure_over(monkeypatch, field, measure, n):
+    """``measure(n, field.q)`` over ``field``: the class measures take their
+    field from ``make_field``, patched here to return it."""
+    def chosen(p, e):
+        assert (p, e) == (field.p, field.e)
+        return field
+
+    monkeypatch.setattr(fq, "make_field", chosen)
+    return measure(n, field.q)
+
+
 def is_irreducible(f):
     """Trial division by every sieved irreducible of degree up to half of f's."""
     if f.degree < 1:
@@ -70,8 +81,46 @@ def test_field_context_rejects_reducible_modulus():
 def test_prime_power_decomposition():
     assert prime_power(8) == (2, 3)
     assert prime_power(9) == (3, 2)
-    with pytest.raises(ValueError):
-        prime_power(6)
+    assert prime_power(2) == (2, 1)
+    assert prime_power(1031) == (1031, 1)
+    assert prime_power(1009**2) == (1009, 2)
+    assert prime_power(10**9 + 7) == (10**9 + 7, 1)  # trial division stops at isqrt(q)
+    for q in (6, 12, 1009 * 1013, 0, 1):
+        with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+            prime_power(q)
+
+
+@pytest.fixture
+def no_tables_or_sieve(monkeypatch):
+    """A field built past this point fails at once, before any work."""
+    def refuse(*args):
+        raise AssertionError("built tables or sieved past FIELD_MAX_ORDER")
+
+    monkeypatch.setattr(FieldContext, "_build_tables", refuse)
+    monkeypatch.setattr(FieldContext, "irreducibles", refuse)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_field(2, 11), "F_2^11 has more than"),
+    (lambda: make_field(1031, 1), "F_1031^1 has more than"),
+    (lambda: make_field(2, 10**9), "F_2^1000000000 has more than"),
+    (lambda: FieldContext(1031, 1, (0, 1)), "F_1031^1 has more than"),
+    (lambda: FieldContext(2, 11, (1, 0, 1) + (0,) * 8 + (1,)), "F_2^11 has more than"),
+    (lambda: sl_class_measure(1, 10**9 + 7), "F_1000000007^1 has more than"),
+    (lambda: sp_class_measure(1, 2**11), "F_2^11 has more than"),
+], ids=["make-2^11", "make-1031", "make-2^huge", "context-1031", "context-2^11", "sl", "sp"])
+def test_fields_past_the_order_limit_are_refused_before_any_work(no_tables_or_sieve,
+                                                                  call, message):
+    with pytest.raises(ValueError, match=re.escape(message + " FIELD_MAX_ORDER = 1024 elements")):
+        call()
+
+
+def test_fields_at_the_order_limit_are_allowed(no_tables_or_sieve):
+    # F_1021 gets as far as its tables and F_1024 as far as the sieve for its modulus
+    assert fq.FIELD_MAX_ORDER == 1024
+    for call in (lambda: FieldContext(1021, 1, (0, 1)), lambda: make_field(2, 10)):
+        with pytest.raises(AssertionError, match="built tables or sieved"):
+            call()
 
 
 def test_field_axioms_small():
@@ -304,24 +353,29 @@ def test_factor_splits_products_of_one_degree(field, top):
                 assert factor(f).factors == tuple(zip(chosen, mults)), (d, mults)
 
 
-def test_factor_of_an_irreducible_sieves_nothing():
+def test_factor_of_an_irreducible_sieves_nothing(monkeypatch):
+    def refuse(field, degree):
+        raise AssertionError(f"factor read the degree-{degree} sieve over F_{field.q}")
+
+    monkeypatch.setattr(FieldContext, "irreducibles", refuse)
     # the benchmark stream's degree-24 irreducible over F_2 and degree-14 one over F_3
     for p, coeffs in (
         (2, (1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1, 0, 1, 1)),
         (3, (1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0, 1)),
     ):
-        field = FieldContext(p, 1, (0, 1))
-        f = field.poly(coeffs)
+        f = make_field(p, 1).poly(coeffs)
         assert factor(f).factors == ((f, 1),)
-        assert field._irreducibles == {}
 
 
 # --- the size of a walk's table ----------------------------------------------------
 
 @pytest.fixture
-def no_allocation(monkeypatch):
-    """``bytearray`` in ``fq`` records the size asked for and allocates nothing,
-    so that a missing guard fails at once instead of allocating gigabytes."""
+def no_allocation(cold_caches, monkeypatch):
+    """Cold caches, so that no lower degree is sieved first; then ``bytearray``
+    in ``fq`` records the size asked for and allocates nothing, so that a
+    missing guard fails at once instead of allocating gigabytes.  F_2 and F_9
+    are built before that: building F_9 sieves the quadratics over F_3."""
+    make_field(2, 1), make_field(3, 2)
     sizes = []
 
     def record(size):
@@ -339,17 +393,16 @@ def test_table_at_the_limit_is_allowed(no_allocation):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: FieldContext(2, 1, (0, 1)).irreducibles(25),
+    (lambda: make_field(2, 1).irreducibles(25),
      "degree 25 over F_2 needs a table of 2^25 = 33,554,432 entries"),
-    (lambda: FieldContext(3, 2, (1, 0, 1)).irreducibles(10),
+    (lambda: make_field(3, 2).irreducibles(10),
      "degree 10 over F_9 needs a table of 9^10 = 3,486,784,401 entries"),
-    (lambda: sl_class_measure(12, 9, field=FieldContext(3, 2, (1, 0, 1))),
+    (lambda: sl_class_measure(12, 9),
      "degree 12 over F_9 needs a table of 9^11 = 31,381,059,609 entries"),
-    (lambda: sp_class_measure(8, 9, field=FieldContext(3, 2, (1, 0, 1))),
+    (lambda: sp_class_measure(8, 9),
      "degree 16 over F_9 needs a table of 9^8 = 43,046,721 entries"),
 ], ids=["sieve-2", "sieve-9", "sl", "sp"])
 def test_tables_past_the_limit_are_refused_before_any_work(no_allocation, call, message):
-    # fresh fields, so that no lower degree is sieved first
     with pytest.raises(ValueError, match=re.escape(message + ", more than 16,777,216")):
         call()
     assert no_allocation == []
@@ -358,7 +411,7 @@ def test_tables_past_the_limit_are_refused_before_any_work(no_allocation, call, 
 def test_factor_refuses_a_split_past_the_table_limit(no_allocation):
     # two irreducibles of degree 10 over F_9: splitting their product needs
     # the degree-10 sieve, which is refused
-    field = FieldContext(3, 2, (1, 0, 1))
+    field = make_field(3, 2)
     f = field.poly((2, 1, 4, 1, 7, 7, 7, 6, 3, 1, 1))
     f = f * field.poly((3, 5, 1, 4, 1, 7, 1, 5, 3, 6, 1))
     with pytest.raises(ValueError, match=re.escape("degree 10 over F_9 needs a table")):
@@ -386,30 +439,53 @@ def test_factor_matches_sympy_for_prime_q():
 # degree with the class measures' walk; the class measures and ``factor`` then
 # read its output, so the oracles below reach the irreducibles another way.
 
-def test_sieve_guard_rejects_a_wrong_count():
-    field = FieldContext(7, 1, (0, 1))  # fresh: the cached make_field(7, 1) may be sieved
+def corrupt_sieve(monkeypatch, degree, corrupt):
+    """``FieldContext.irreducibles`` returns ``corrupt(field, sound output)``
+    at ``degree``; the sieve reads its lower degrees through it."""
+    sound = FieldContext.irreducibles
+
+    def faulty(field, d):
+        found = sound(field, d)
+        return corrupt(field, found) if d == degree else found
+
+    monkeypatch.setattr(FieldContext, "irreducibles", faulty)
+
+
+def test_sieve_guard_rejects_a_wrong_count(cold_caches, monkeypatch):
     # without z + 3 the 6 * 7 / 2 products of the other linears leave 28 quadratics
-    field._irreducibles[1] = tuple(g for g in field.irreducibles(1) if g.coeffs != (3, 1))
+    corrupt_sieve(monkeypatch, 1, lambda field, found: tuple(g for g in found
+                                                             if g.coeffs != (3, 1)))
     with pytest.raises(ArithmeticError, match=re.escape(
             "degree 2 over F_7: sieve found 28 irreducibles, Gauss's count is 21")):
-        field.irreducibles(2)
+        make_field(7, 1).irreducibles(2)
 
 
-def test_sieve_guard_rejects_a_repeated_product():
-    field = FieldContext(7, 1, (0, 1))
+def test_sieve_guard_rejects_a_repeated_product(cold_caches, monkeypatch):
     # z^2 passed off as irreducible: z * z^2 and z * z * z are both z^3
-    field._irreducibles[2] = (field.poly((0, 0, 1)),) + field.irreducibles(2)[1:]
+    corrupt_sieve(monkeypatch, 2, lambda field, found: (field.poly((0, 0, 1)),) + found[1:])
     with pytest.raises(ArithmeticError, match=re.escape(
             "degree 3 over F_7: product [0, 0, 0, 1] repeats")):
-        field.irreducibles(3)
+        make_field(7, 1).irreducibles(3)
 
 
-def test_sieve_does_not_test_irreducibility(monkeypatch):
+def test_cold_caches_reach_the_sieve(request, monkeypatch):
+    warm = make_field(7, 1).irreducibles(2)
+    assert len(warm) == 21
+    request.getfixturevalue("cold_caches")
+    sound = fq.count_irreducibles
+    monkeypatch.setattr(fq, "count_irreducibles", lambda n, q: sound(n, q) + 1)
+    # a warm field or sieve would return the warm quadratics unchecked
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "degree 1 over F_7: sieve found 7 irreducibles, Gauss's count is 8")):
+        make_field(7, 1).irreducibles(2)
+
+
+def test_sieve_does_not_test_irreducibility(cold_caches, monkeypatch):
     def refuse(field, a, dv):
         raise AssertionError(f"the sieve divided {a!r} by {dv!r}")
 
     monkeypatch.setattr(fq, "_long_division", refuse)
-    field = FieldContext(3, 1, (0, 1))
+    field = make_field(3, 1)
     for degree in range(1, 7):
         assert len(field.irreducibles(degree)) == count_irreducibles(degree, 3)
 
@@ -573,16 +649,12 @@ def test_sp_measure_type_sizes():
                 assert t.size == n
 
 
-def test_measure_independent_of_modulus_choice():
+def test_measure_independent_of_modulus_choice(monkeypatch):
     # F_9 admits several irreducible quadratics; the counted types agree.
     assert F9_ALT.modulus != F9.modulus
-    assert sl_class_measure(2, 9, field=F9_ALT) == sl_class_measure(2, 9, field=F9)
-    assert sp_class_measure(1, 9, field=F9_ALT) == sp_class_measure(1, 9, field=F9)
-
-
-def test_resolve_field_mismatch():
-    with pytest.raises(ValueError):
-        sl_class_measure(2, 4, field=F5)
+    for measure, n in ((sl_class_measure, 2), (sp_class_measure, 1)):
+        assert (measure_over(monkeypatch, F9_ALT, measure, n)
+                == measure_over(monkeypatch, F9, measure, n))
 
 
 @pytest.mark.parametrize("measure", [sl_class_measure, sp_class_measure])
@@ -698,23 +770,12 @@ ORACLE_GRID = (
     "kind, n, field", ORACLE_GRID,
     ids=[f"{kind}-{n}-{field.q}-{field.modulus}" for kind, n, field in ORACLE_GRID],
 )
-def test_class_measures_match_trial_division(kind, n, field):
+def test_class_measures_match_trial_division(monkeypatch, kind, n, field):
     measure = sl_class_measure if kind == "sl" else sp_class_measure
-    assert measure(n, field.q, field=field) == factored_measure(kind, n, field)
+    assert measure_over(monkeypatch, field, measure, n) == factored_measure(kind, n, field)
 
 
 # --- the walk's own checks -------------------------------------------------------
-
-@pytest.fixture
-def fresh_f5():
-    """F_5 with empty caches, so that a corrupted cache entry stays in the test."""
-    field = FieldContext(5, 1, (0, 1))
-    field._irreducibles.clear()
-    field._self_conjugates.clear()
-    yield field
-    field._irreducibles.clear()
-    field._self_conjugates.clear()
-
 
 def test_self_conjugates_are_the_palindromes_left_over():
     for field in (F2, F3, F4, F5):
@@ -724,21 +785,27 @@ def test_self_conjugates_are_the_palindromes_left_over():
             assert list(fq._self_conjugates(field, degree)) == scanned, (field.q, degree)
 
 
-def test_type_a_walk_catches_a_dropped_block(fresh_f5):
+def test_type_a_walk_catches_a_dropped_block(cold_caches, monkeypatch):
     # the 4 products of a linear block with the dropped quadratic go missing
-    fresh_f5._irreducibles[2] = fresh_f5.irreducibles(2)[1:]
+    corrupt_sieve(monkeypatch, 2, lambda field, found: found[1:])
     with pytest.raises(ArithmeticError, match=re.escape(
             "degree 3 over F_5: 44 polynomials with nonzero constant term are not "
             "products, Gauss's count without z is 40")):
-        sl_class_measure(3, 5, field=fresh_f5)
+        sl_class_measure(3, 5)
 
 
-def test_type_c_walk_catches_a_dropped_self_conjugate(fresh_f5):
-    fresh_f5._self_conjugates[2] = fq._self_conjugates(fresh_f5, 2)[1:]
+def test_type_c_walk_catches_a_dropped_self_conjugate(cold_caches, monkeypatch):
+    sound = fq._palindromic_types
+
+    def faulty(field, n):
+        counts, left = sound(field, n)
+        return (counts, left[1:]) if n == 1 else (counts, left)
+
+    monkeypatch.setattr(fq, "_palindromic_types", faulty)
     with pytest.raises(ArithmeticError, match=re.escape(
             "degree 4 over F_5: 11 palindromes are not products, "
             "the self-conjugate count is 6")):
-        sp_class_measure(2, 5, field=fresh_f5)
+        sp_class_measure(2, 5)
 
 
 def zero(field, c):
@@ -758,7 +825,7 @@ def plus_one(field, c):
     (sp_class_measure, 2, 4, 1, plus_one,
      "degree 4 over F_5: product [1, 0, 1, 4, 1] is not palindromic"),
 ])
-def test_walk_catches_a_wrong_product_coefficient(fresh_f5, monkeypatch, measure, n, degree,
+def test_walk_catches_a_wrong_product_coefficient(cold_caches, monkeypatch, measure, n, degree,
                                                   index, wrong, message):
     sound_times, sound_walk = fq._times, fq._block_walk
 
@@ -777,4 +844,4 @@ def test_walk_catches_a_wrong_product_coefficient(fresh_f5, monkeypatch, measure
 
     monkeypatch.setattr(fq, "_block_walk", corrupting_walk)
     with pytest.raises(ArithmeticError, match=re.escape(message)):
-        measure(n, 5, field=fresh_f5)
+        measure(n, 5)

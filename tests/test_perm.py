@@ -384,7 +384,7 @@ C2_MEASURE = GroupAlgebraElement(
 
 
 def test_delta_is_convolution_unit():
-    delta = GroupAlgebraElement.delta(GroupKind("C", 2), SignedPermutation.identity(2))
+    delta = GroupAlgebraElement(GroupKind("C", 2), {SignedPermutation.identity(2): 1})
     assert convolve(delta, C2_MEASURE) == C2_MEASURE
     assert convolve(C2_MEASURE, delta) == C2_MEASURE
 
@@ -404,8 +404,8 @@ def test_invert_element_example():
 
 
 def test_convolve_rejects_mismatched_kinds():
-    a = GroupAlgebraElement.delta(GroupKind("A", 3), Permutation.identity(3))
-    b = GroupAlgebraElement.delta(GroupKind("A", 4), Permutation.identity(4))
+    a = GroupAlgebraElement(GroupKind("A", 3), {Permutation.identity(3): 1})
+    b = GroupAlgebraElement(GroupKind("A", 4), {Permutation.identity(4): 1})
     with pytest.raises(ValueError):
         convolve(a, b)
 

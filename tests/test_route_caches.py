@@ -159,3 +159,6 @@ def test_every_lru_cache_is_bounded(lru_caches):
     unbounded = [name for name, cache in lru_caches.items()
                  if cache.cache_parameters()["maxsize"] is None]
     assert unbounded == []
+    # fq memoises through these alone, so cold_caches reaches its fields and sieve
+    assert {"affine_shuffles.fq.make_field", "affine_shuffles.fq.irreducibles",
+            "affine_shuffles.fq._palindromic_types"} <= set(lru_caches)
