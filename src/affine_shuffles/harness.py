@@ -328,18 +328,20 @@ def verify_limit_law(n: int, q: int, tolerance: float):
 def verify_sampler(n: int, k: int, draws: int, tolerance: float, seed: int):
     """Seeded empirical frequencies stay near the exact model distribution.
 
-    The block reader counts the pick tuples of the draws over the model's
-    plan (bounds up to 255, so n, k <= 255); each distinct tuple is merged
-    into images once, and each distinct outcome is validated once, as a
-    ``SignedPermutation``, before it is compared.  The deviation
-    max |count/draws - p| and the tolerance are compared as exact fractions."""
+    The exact law is built first, so a size past
+    ``shuffles.EXACT_MAX_OUTCOMES`` is refused before any draw.
+    ``count_picks`` counts the pick tuples of the draws over the model's
+    plan; each distinct tuple is merged into images once, and each distinct
+    outcome is validated once, as a ``SignedPermutation``, before it is
+    compared.  The deviation max |count/draws - p| and the tolerance are
+    compared as exact fractions."""
     if draws < 1:
         raise ValueError(f"draws must be positive, got {draws}")
+    exact = shuffles.affine_c_shuffle_distribution(n, k)
     picks = shuffles.count_picks(shuffles.riffle_plan(n, k), draws, random.Random(seed))
     raw: Counter[tuple[int, ...]] = Counter()
     for pick, count in picks.items():
         raw[shuffles.affine_c_images(n, k, pick)] += count
-    exact = shuffles.affine_c_shuffle_distribution(n, k)
     counts = {}
     for images, count in raw.items():
         try:

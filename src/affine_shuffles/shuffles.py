@@ -13,31 +13,31 @@ Each exact distribution is enumerated as a probability element of the group
 algebra (``GroupAlgebraElement.probability``), the same type as the x_k
 elements it inverts.  A sampler's draw has two parts:
 
-* its *plan*, the fixed tuple of ``randrange`` bounds it makes, in call
-  order: a stack per card, then the cards left, ``(k,)*n + (n, ..., 1)``, for
-  the riffle and flip-and-riffle models (``riffle_plan``); the total cut
-  weight, then the cards left, for the two-pile model;
+* its *plan*, the fixed tuple of ``randrange`` bounds of its picks: a stack
+  per card, then the cards left, ``(k,)*n + (n, ..., 1)``, for the riffle and
+  flip-and-riffle models (``riffle_plan``); the total cut weight, then the
+  cards left, for the two-pile model;
 * its *picks*, one value below each bound, which the one merge kernel,
   ``_riffle_images``, turns into one-line images on plain tuples.
 
-A single draw takes its picks from ``rng.randrange`` over the plan, with a
-caller-supplied seeded generator, never global randomness; tests pin the
-streams of all three samplers.  The block reader ``count_picks`` counts the
-picks of many draws at once: it reads the generator's 32-bit words a bounded
-block at a time and scans their top bytes with one regular expression per
-plan that rejects as ``randrange`` does, so its counts are those of the same
-draws made one by one.  The exact side and the sampler side share only the
+A draw is one ``rng.randrange(math.prod(plan))``, with a caller-supplied
+seeded generator, never global randomness; ``_decode_picks`` reads the picks
+off as that integer's mixed-radix digits, the first bound least significant.
+The decoding is a bijection, so the picks are uniform on the pick tuples.
+Tests pin the streams of all three samplers.  ``count_picks`` counts the
+picks of many draws: it makes the same ``randrange`` calls and decodes each
+distinct integer once.  The exact side and the sampler side share only the
 cut stacks of ``_stacks_for_cut``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-import re
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .numth import binomial
 from .perm import (
@@ -46,8 +46,6 @@ from .perm import (
     GroupKind,
     Permutation,
     SignedPermutation,
-    all_permutations,
-    cyclic_descents,
     descent_histograms,
 )
 from .report import check
@@ -113,31 +111,28 @@ def riffle_distribution(n: int, k: int) -> GroupAlgebraElement:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    masses = {}
-    for w in all_permutations(n):
-        cdes = cyclic_descents(w)
-        d = len(cdes) - (0 in cdes)
-        mass = Fraction(binomial(k + n - d - 1, n), k**n)
-        if mass:
-            masses[w] = mass
-    return GroupAlgebraElement.probability(GroupKind("A", n), masses)
+    return GroupAlgebraElement.probability_per_class(
+        GroupKind("A", n),
+        lambda cls: Fraction(binomial(k + n - len(cls.cdes - {0}) - 1, n), k**n),
+    )
 
 
 def _stacks_for_cut(
-    sizes: tuple[int, ...], flip_odd_indexed: bool | None
-) -> tuple[tuple[int, ...], ...]:
-    # Stack s takes the next sizes[s] cards off the top; flipping reverses and
-    # negates.  flip_odd_indexed True flips stacks 1,3,... (1-based), False
-    # flips 2,4,...; None flips nothing.
+    cut: Iterable[tuple[int, int]], flip_odd_indexed: bool | None
+) -> list[tuple[int, ...]]:
+    # cut holds (1-based stack index, size) pairs in index order; stack s
+    # takes the next size cards off the top; flipping reverses and negates.
+    # flip_odd_indexed True flips stacks 1,3,..., False flips 2,4,...; None
+    # flips nothing.
     stacks = []
     start = 0
-    for s, j in enumerate(sizes, start=1):
+    for s, j in cut:
         cards = range(start + 1, start + j + 1)
         start += j
         if flip_odd_indexed is not None and (s % 2 == 1) == flip_odd_indexed:
             cards = [-c for c in reversed(cards)]
         stacks.append(tuple(cards))
-    return tuple(stacks)
+    return stacks
 
 
 def _merge(stacks: Sequence[Sequence[int]], word: tuple[int, ...]) -> tuple[int, ...]:
@@ -166,23 +161,33 @@ def _riffle_images(stacks: Sequence[Sequence[int]], picks: Sequence[int]) -> tup
 
 
 def riffle_plan(n: int, k: int) -> tuple[int, ...]:
-    """The ``randrange`` bounds of one riffle or flip-and-riffle draw, in call
-    order: a stack for each card, then the cards left as they are dropped."""
+    """The bounds of the picks of one riffle or flip-and-riffle draw: a stack
+    for each card, then the cards left as they are dropped."""
     return (k,) * n + tuple(range(n, 0, -1))
 
 
-def _draw_picks(plan: Sequence[int], rng: random.Random) -> list[int]:
-    return [rng.randrange(m) for m in plan]
+def _decode_picks(plan: Sequence[int], value: int) -> tuple[int, ...]:
+    # The mixed-radix digits of value, below math.prod(plan), the first bound
+    # least significant: a bijection onto the pick tuples.
+    picks = []
+    for m in plan:
+        value, pick = divmod(value, m)
+        picks.append(pick)
+    return tuple(picks)
+
+
+def _draw_picks(plan: Sequence[int], rng: random.Random) -> tuple[int, ...]:
+    return _decode_picks(plan, rng.randrange(math.prod(plan)))
 
 
 def _cut_and_riffle(
-    n: int, k: int, flip_odd_indexed: bool | None, picks: Sequence[int]
+    n: int, flip_odd_indexed: bool | None, picks: Sequence[int]
 ) -> tuple[int, ...]:
     # picks[:n] send card i to stack picks[i]; picks[n:] riffle the stacks.
-    sizes = [0] * k
-    for s in picks[:n]:
-        sizes[s] += 1
-    return _riffle_images(_stacks_for_cut(tuple(sizes), flip_odd_indexed), picks[n:])
+    # Only the non-empty stacks are built, so a draw's cost does not grow with
+    # k; an empty stack never takes a pick, so the images are the same.
+    cut = sorted(Counter(s + 1 for s in picks[:n]).items())
+    return _riffle_images(_stacks_for_cut(cut, flip_odd_indexed), picks[n:])
 
 
 def riffle_sample(n: int, k: int, rng: random.Random) -> Permutation:
@@ -191,61 +196,16 @@ def riffle_sample(n: int, k: int, rng: random.Random) -> Permutation:
     The physical cut-and-interleave process produces the inverse orientation,
     so the merged deck is inverted before returning.
     """
-    images = _cut_and_riffle(n, k, None, _draw_picks(riffle_plan(n, k), rng))
+    images = _cut_and_riffle(n, None, _draw_picks(riffle_plan(n, k), rng))
     return Permutation(images).inverse()
-
-
-# Words per block of the block reader: 128 KiB of generator output at a time.
-_BLOCK_WORDS = 1 << 15
-
-
-def _plan_scanner(plan: tuple[int, ...]) -> tuple[re.Pattern[bytes], bytes, tuple[int, ...]]:
-    # randrange(m) reads b = m.bit_length() top bits of a word and rejects a
-    # value >= m.  Every top byte is cut down to its top B bits (B, the widest
-    # b in the plan), where a step of width b accepts the values below
-    # m << (B - b): one "[reject]*(accept)" per bound.  Each byte is accepted
-    # or rejected by every step, so a scan can only stop at the end of input.
-    for m in plan:
-        if not 1 <= m <= 255:
-            raise ValueError(f"randrange bound {m} is outside 1..255, "
-                             "the bounds the top byte of a word can read")
-    widths = [m.bit_length() for m in plan]
-    top = max(widths)
-    steps = []
-    for m, b in zip(plan, widths):
-        low = m << (top - b)
-        steps.append(b"[\\x%02x-\\x%02x]*([\\x00-\\x%02x])" % (low, (1 << top) - 1, low - 1))
-    table = bytes(v >> (8 - top) for v in range(256))
-    return re.compile(b"".join(steps)), table, tuple(top - b for b in widths)
 
 
 def count_picks(plan: tuple[int, ...], draws: int, rng: random.Random) -> Counter[tuple[int, ...]]:
     """How often each pick tuple occurs in ``draws`` successive draws over
-    ``plan``, the draws ``[rng.randrange(m) for m in plan]`` would make one
-    by one, for bounds up to 255.
-
-    The generator's 32-bit words are read ``_BLOCK_WORDS`` at a time
-    (``getrandbits`` returns them least significant first) and scanned as
-    top bytes; the unmatched tail of a block is carried into the next.
-    """
-    pattern, table, shifts = _plan_scanner(plan)
-    stride = len(plan) + 1
-    found: Counter[tuple[bytes, ...]] = Counter()
-    tail = b""
-    left = draws
-    while left > 0:
-        words = rng.getrandbits(32 * _BLOCK_WORDS).to_bytes(4 * _BLOCK_WORDS, "little")
-        # split gives [gap, picks..., gap, picks..., tail]; matches never skip
-        parts = pattern.split(tail + words[3::4].translate(table), left)
-        if any(parts[0:-1:stride]):
-            raise RuntimeError("block reader lost its place: a draw began past the last one's end")
-        found.update(zip(*(parts[j::stride] for j in range(1, stride))))
-        left -= len(parts) // stride
-        tail = parts[-1]
-    counts: Counter[tuple[int, ...]] = Counter()
-    for key, count in found.items():
-        counts[tuple(byte[0] >> shift for byte, shift in zip(key, shifts))] += count
-    return counts
+    ``plan``: the same ``rng.randrange(math.prod(plan))`` calls that single
+    draws make one by one, each distinct integer decoded once."""
+    values = Counter(map(rng.randrange, itertools.repeat(math.prod(plan), draws)))
+    return Counter({_decode_picks(plan, value): count for value, count in values.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +216,14 @@ def _affine_c_outcomes(n: int, k: int) -> Iterator[SignedPermutation]:
     # One outcome per (cut, interleaving) pair, so an element may repeat.
     flip_odd = k % 2 == 0  # odd k flips even stacks, even k flips odd stacks
     for sizes in _compositions(n, k):
-        stacks = _stacks_for_cut(sizes, flip_odd)
+        stacks = _stacks_for_cut(enumerate(sizes, start=1), flip_odd)
         for word in _multiset_permutations(sizes):
             yield SignedPermutation(_merge(stacks, word))
+
+
+EXACT_MAX_OUTCOMES = 2**20
+"""Most (cut, interleaving) pairs, k^n, that ``affine_c_shuffle_distribution``
+enumerates; each takes about 13 microseconds, so the limit is about 14 s."""
 
 
 def affine_c_shuffle_distribution(n: int, k: int) -> GroupAlgebraElement:
@@ -266,10 +231,17 @@ def affine_c_shuffle_distribution(n: int, k: int) -> GroupAlgebraElement:
 
     Cut multinomially into k stacks, flip the even-numbered stacks when k is
     odd (the odd-numbered ones when k is even), then interleave uniformly.
-    Every (cut, interleaving) pair carries probability 1/k^n.
+    Every (cut, interleaving) pair carries probability 1/k^n.  More than
+    ``EXACT_MAX_OUTCOMES`` pairs are refused before any is enumerated.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
+    # 2^n alone passes the limit once n reaches its bit length; k^n is then
+    # never computed for a huge n.
+    if k > 1 and (n >= EXACT_MAX_OUTCOMES.bit_length() or k**n > EXACT_MAX_OUTCOMES):
+        raise ValueError(
+            f"the flip-and-riffle law at n={n}, k={k} enumerates k^n (cut, interleaving) "
+            f"pairs, more than EXACT_MAX_OUTCOMES = {EXACT_MAX_OUTCOMES:,}")
     # The sum-to-1 guard also checks that k^n outcomes were enumerated.
     masses: dict[GroupElement, Fraction] = {}
     step = Fraction(1, k**n)
@@ -286,7 +258,7 @@ def affine_c_shuffle_sample(n: int, k: int, rng: random.Random) -> SignedPermuta
 def affine_c_images(n: int, k: int, picks: Sequence[int]) -> tuple[int, ...]:
     """The one-line images of the flip-and-riffle draw with these picks over
     ``riffle_plan(n, k)``, not yet validated."""
-    return _cut_and_riffle(n, k, k % 2 == 0, picks)
+    return _cut_and_riffle(n, k % 2 == 0, picks)
 
 
 def two_shuffle_outcomes(n: int) -> list[SignedPermutation]:

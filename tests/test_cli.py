@@ -118,23 +118,23 @@ def test_sample_models(capsys):
 
 
 # `sample ... --n 4 --count 20 --seed 5` (with --k 3 where the model takes
-# one), recorded before the samplers shared one draw kernel.
+# one); each draw is one randrange over the model's plan.
 PINNED_SAMPLES = {
     "riffle": (
-        "1,3,2,4", "1,3,2,4", "2,4,1,3", "2,3,1,4", "1,2,3,4", "3,1,2,4", "2,1,3,4",
-        "1,4,2,3", "1,2,3,4", "1,4,3,2", "3,2,4,1", "1,2,3,4", "2,3,1,4", "1,4,2,3",
-        "1,4,2,3", "1,2,3,4", "1,2,3,4", "1,3,4,2", "1,4,3,2", "1,4,2,3",
+        "2,4,1,3", "3,1,2,4", "4,2,1,3", "1,3,4,2", "1,4,2,3", "4,1,2,3", "2,3,4,1",
+        "4,1,3,2", "2,4,1,3", "1,2,3,4", "4,3,1,2", "2,1,4,3", "1,2,3,4", "1,4,2,3",
+        "3,1,2,4", "2,4,1,3", "3,4,1,2", "2,3,1,4", "1,4,2,3", "2,1,3,4",
     ),
     "affine-a": (
-        "4,1,2,3", "2,3,4,1", "3,4,1,2", "1,2,3,4", "2,3,4,1", "2,3,4,1", "2,3,4,1",
-        "2,3,4,1", "2,4,1,3", "4,2,1,3", "1,2,3,4", "4,1,2,3", "3,4,1,2", "2,4,1,3",
-        "1,2,3,4", "3,4,1,2", "2,4,1,3", "4,2,1,3", "1,2,3,4", "2,4,1,3",
+        "3,4,1,2", "2,4,3,1", "4,1,2,3", "4,1,2,3", "1,2,3,4", "4,1,2,3", "2,4,1,3",
+        "3,4,1,2", "3,4,1,2", "3,4,1,2", "3,4,1,2", "2,4,1,3", "2,3,4,1", "1,2,3,4",
+        "4,2,3,1", "3,4,1,2", "1,2,3,4", "3,4,1,2", "2,3,4,1", "2,4,1,3",
     ),
     "affine-c": (
-        "-2,3,-1,4", "1,-4,2,-3", "-3,1,4,2", "3,1,2,4", "1,2,3,4", "2,3,1,4",
-        "-4,1,-3,-2", "-2,3,4,-1", "-4,-3,-2,-1", "1,4,-3,2", "4,-3,1,-2", "1,2,3,4",
-        "3,-2,-1,4", "1,-4,-3,2", "-2,3,4,-1", "1,2,3,4", "1,-2,3,4", "1,4,-3,-2",
-        "1,4,-3,2", "1,-4,-3,2",
+        "3,1,4,2", "-4,-3,1,-2", "3,-2,4,1", "1,4,2,-3", "1,3,4,2", "-4,-3,-2,1",
+        "4,-3,-2,-1", "-3,4,-2,1", "-3,1,4,2", "1,-4,-3,-2", "3,4,-2,1", "-3,1,4,-2",
+        "1,-2,3,4", "1,3,4,2", "2,3,1,4", "3,-2,4,-1", "3,4,-2,-1", "3,1,2,4",
+        "1,-3,4,2", "-2,1,3,4",
     ),
 }
 

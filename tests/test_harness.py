@@ -281,7 +281,7 @@ FAULTS = {
         # 1,2,3 reported as -1,2,3: one outcome of mass 1/8 reads 0, another 1/4
         _relabelled_kernel_outcome((1, 2, 3), (-1, 2, 3)),
         (3, 2, 100_000, 0.02, 20260810),
-        {"sup_norm": Fraction(12617, 100_000)},
+        {"sup_norm": Fraction(12572, 100_000)},
     ),
     "shuffle_model_a": (
         # 3,2,4,1 (Cdes {1, 3}, x_2 = 1/8) and 3,4,2,1 (Cdes {2, 3}, x_2 = 0)
@@ -396,11 +396,23 @@ def test_sampler_rejects_no_draws(draws):
 
 
 @pytest.mark.parametrize("n, k", [(256, 2), (3, 256), (300, 300)])
-def test_sampler_refuses_bounds_past_one_byte(monkeypatch, n, k):
-    # refused before any draw, and before the exact side enumerates k^n n! merges
-    monkeypatch.setattr(shuffles, "affine_c_shuffle_distribution", None)
-    with pytest.raises(ValueError, match=f"randrange bound {max(n, k)} is outside 1..255"):
+def test_sampler_refuses_outcomes_past_the_exact_limit(monkeypatch, n, k):
+    # refused before any draw, and before the exact side enumerates its k^n pairs
+    monkeypatch.setattr(shuffles, "count_picks", None)
+    monkeypatch.setattr(shuffles, "_affine_c_outcomes", None)
+    with pytest.raises(ValueError, match=f"n={n}, k={k} .* more than EXACT_MAX_OUTCOMES"):
         verify_sampler(n, k, 10, 0.02, 1)
+
+
+@pytest.mark.parametrize("n, k", [(20, 2), (10, 4), (1, 2**20), (10**6, 1)])
+def test_exact_law_at_the_outcome_limit_is_allowed(monkeypatch, n, k):
+    # k^n <= EXACT_MAX_OUTCOMES reaches the enumeration
+    def enumerated(*args):
+        raise LookupError("enumerated")
+
+    monkeypatch.setattr(shuffles, "_affine_c_outcomes", enumerated)
+    with pytest.raises(LookupError, match="enumerated"):
+        shuffles.affine_c_shuffle_distribution(n, k)
 
 
 def test_sampler_sanity_reports_an_invalid_outcome(monkeypatch):
@@ -408,7 +420,7 @@ def test_sampler_sanity_reports_an_invalid_outcome(monkeypatch):
     report = verify_sampler(3, 2, 100_000, 0.02, 20260810)
     assert report.status == "fail"
     assert report.witness["invalid_outcome"] == [1, 1, 2]
-    assert report.witness["draws"] == 12477
+    assert report.witness["draws"] == 12527
     assert "not a signed permutation" in report.witness["issue"]
 
 
@@ -464,13 +476,13 @@ def test_verify_all_quick_passes():
         "shuffle_model_c",
         "unimodal_count",
     } <= covered
-    assert (len(reports), report_digest(reports)) == (138, "6b8c6fe65f2484a2")
+    assert (len(reports), report_digest(reports)) == (138, "86e5bcc8efdcdee5")
 
 
 def test_verify_all_full_digest():
     reports = verify_all("full")
     assert all(r.passed for r in reports)
-    assert (len(reports), report_digest(reports)) == (973, "e83c30920d1a3279")
+    assert (len(reports), report_digest(reports)) == (973, "9c77c37b619093f2")
 
 
 def test_reports_replay_from_their_parameters():

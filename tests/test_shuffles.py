@@ -1,8 +1,9 @@
 """Card-shuffling models, their exact distributions, and total variation."""
 
 import itertools
+import math
 import random
-import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -158,26 +159,26 @@ def test_affine_a_sampler_close_to_exact():
 
 # --- the draw kernel and the pinned random stream ------------------------------
 
-# Draws recorded before the samplers shared one kernel: every draw makes the
-# same rng.randrange calls, with the same arguments, in the same order, so a
-# change to the stream changes these.
+# Each draw is one rng.randrange(math.prod(plan)), decoded into its picks as
+# mixed-radix digits with the first bound least significant; a change to the
+# plan, the draw or the decoding changes these.
 RIFFLE_5_3_SEED_2026 = (
-    "1,5,2,3,4", "1,2,4,3,5", "5,1,3,2,4", "2,5,1,3,4", "3,5,1,2,4", "3,2,4,5,1",
-    "2,4,5,1,3", "3,4,1,2,5", "4,5,2,1,3", "3,1,2,4,5", "3,4,5,1,2", "2,3,5,1,4",
-    "3,5,1,2,4", "1,2,4,5,3", "2,4,5,1,3", "2,3,1,4,5", "2,5,1,3,4", "3,4,1,2,5",
-    "1,4,5,2,3", "4,1,3,2,5",
+    "1,3,4,5,2", "2,4,5,1,3", "3,2,1,4,5", "2,3,5,1,4", "2,5,1,3,4", "1,5,2,3,4",
+    "3,2,4,1,5", "5,4,1,2,3", "1,4,2,3,5", "1,2,5,3,4", "2,5,3,1,4", "1,3,5,2,4",
+    "1,4,3,5,2", "1,2,5,3,4", "3,1,5,2,4", "2,3,5,1,4", "4,5,1,2,3", "1,3,4,5,2",
+    "2,5,3,4,1", "2,4,5,1,3",
 )
 AFFINE_C_5_4_SEED_2026 = (
-    "5,-4,3,-2,-1", "-4,-3,-5,-2,-1", "-4,1,5,-3,-2", "1,-4,-3,5,-2", "3,4,-2,5,-1",
-    "5,-2,3,4,-1", "4,2,5,3,-1", "3,1,-2,4,5", "4,5,-3,1,-2", "4,-3,-2,5,-1",
-    "-4,2,-3,-1,5", "-2,-1,5,3,4", "5,2,3,-1,-4", "5,-4,2,-1,3", "-3,4,5,-2,-1",
-    "-3,-1,4,5,-2", "4,1,5,2,-3", "4,-3,-2,-1,5", "1,5,2,3,4", "-4,5,1,-3,2",
+    "-1,3,2,4,5", "-1,2,4,-3,5", "-5,-1,2,3,4", "-2,3,-1,5,-4", "1,2,4,5,3",
+    "-2,3,4,5,-1", "-4,-3,-2,-1,5", "-4,-3,5,-2,-1", "-5,2,3,-1,-4", "-5,3,-4,-2,-1",
+    "-3,4,-2,5,-1", "4,5,-2,-3,-1", "2,4,-1,5,3", "-4,-3,5,1,2", "-1,2,-5,3,4",
+    "-4,2,-1,5,3", "-1,-4,2,5,-3", "3,2,4,5,-1", "-5,3,-2,-4,-1", "-5,-4,1,-3,2",
 )
 AFFINE_A_5_SEED_2026 = (
-    "2,3,4,5,1", "4,3,5,1,2", "2,5,3,1,4", "5,2,3,1,4", "2,3,5,1,4", "4,5,3,1,2",
-    "4,3,5,1,2", "4,5,1,2,3", "4,3,5,1,2", "5,2,1,3,4", "5,2,3,1,4", "5,1,2,3,4",
-    "4,5,1,2,3", "2,5,1,3,4", "2,5,3,1,4", "2,5,3,4,1", "5,2,3,1,4", "5,2,3,4,1",
-    "5,2,3,4,1", "5,2,3,4,1",
+    "2,5,3,4,1", "3,4,5,1,2", "5,2,3,1,4", "2,3,4,5,1", "4,3,5,1,2", "2,5,1,3,4",
+    "5,2,3,4,1", "5,2,1,3,4", "5,2,3,4,1", "5,2,1,3,4", "4,5,3,1,2", "5,1,2,3,4",
+    "2,5,3,1,4", "4,5,1,3,2", "2,3,5,1,4", "5,2,3,1,4", "2,5,3,1,4", "4,5,1,2,3",
+    "5,2,3,1,4", "5,1,2,3,4",
 )
 
 
@@ -199,7 +200,7 @@ def test_kernel_draws_are_merges_of_the_stacks(n):
     picks = list(itertools.product(*(range(left) for left in range(n, 0, -1))))
     cases = [_affine_a_second_pile(n, j) for j in range(n // 2 + 1)]
     cases += [
-        shuffles._stacks_for_cut(sizes, flip)
+        shuffles._stacks_for_cut(enumerate(sizes, start=1), flip)
         for k in (1, 2, 3) for sizes in shuffles._compositions(n, k)
         for flip in (None, True, False)
     ]
@@ -215,69 +216,104 @@ def test_kernel_draws_are_merges_of_the_stacks(n):
             assert SignedPermutation(images).images == images
 
 
-# --- the block reader ------------------------------------------------------------
+# --- one draw, one randrange -------------------------------------------------
 
 READER_PLANS = [(1,), (2,), (255,), (3, 1, 4), (7, 128, 2), (129, 255, 1, 3),
                 (1, 2, 3, 4, 7, 128, 129, 255), shuffles.riffle_plan(3, 2)]
+WIDE_PLANS = [(256,), (2, 1000, 3), (10**9, 7, 2**40),
+              pytest.param(shuffles.riffle_plan(52, 2), id="riffle_plan(52, 2)")]
 
 
 def one_by_one(plan, draws, rng):
-    return Counter(tuple(rng.randrange(m) for m in plan) for _ in range(draws))
+    return Counter(shuffles._draw_picks(plan, rng) for _ in range(draws))
 
 
-@pytest.mark.parametrize("plan", READER_PLANS, ids=str)
+@pytest.mark.parametrize("plan", [(1,), (2,), (5,), (3, 1, 4), (2, 3, 2, 1), (4, 4, 3, 2, 1)],
+                         ids=str)
+def test_decoder_is_a_bijection_onto_the_pick_tuples(plan):
+    decoded = [shuffles._decode_picks(plan, value) for value in range(math.prod(plan))]
+    assert sorted(decoded) == list(itertools.product(*map(range, plan)))
+    # mixed-radix digits, the first bound least significant
+    for value, picks in enumerate(decoded):
+        assert sum(pick * math.prod(plan[:i]) for i, pick in enumerate(picks)) == value
+
+
+@pytest.mark.parametrize("plan", READER_PLANS + WIDE_PLANS, ids=str)
 @pytest.mark.parametrize("draws", [1, 40, 20_000], ids=lambda d: f"draws={d}")
 def test_block_reader_counts_the_draws_made_one_by_one(plan, draws):
-    # 20,000 draws of the widest plan read several default blocks
+    # count_picks; the name is kept from the regex block reader it replaced,
+    # so the test's record carries over
+    if draws == 20_000 and math.prod(plan) > 2**64:
+        draws = 2_000  # wide draws are slow to make one by one
     for seed in (0, 1, 2026):
-        counts = shuffles.count_picks(plan, draws, random.Random(seed))
-        assert counts == one_by_one(plan, draws, random.Random(seed))
+        rng = random.Random(seed)
+        counts = shuffles.count_picks(plan, draws, rng)
+        single = random.Random(seed)
+        assert counts == one_by_one(plan, draws, single)
         assert counts.total() == draws
+        assert rng.getstate() == single.getstate()
 
 
-@pytest.mark.parametrize("words", [1, 3, 5])
-@pytest.mark.parametrize("plan", READER_PLANS, ids=str)
-def test_block_reader_carries_draws_across_blocks(monkeypatch, plan, words):
-    # blocks of a few words: most draws straddle a refill
-    monkeypatch.setattr(shuffles, "_BLOCK_WORDS", words)
-    for seed in (0, 7):
-        counts = shuffles.count_picks(plan, 300, random.Random(seed))
-        assert counts == one_by_one(plan, 300, random.Random(seed))
+@pytest.mark.parametrize("draw, plan", [
+    (lambda rng: riffle_sample(5, 3, rng), shuffles.riffle_plan(5, 3)),
+    (lambda rng: riffle_sample(52, 10**9, rng), shuffles.riffle_plan(52, 10**9)),
+    (lambda rng: affine_c_shuffle_sample(5, 4, rng), shuffles.riffle_plan(5, 4)),
+    (lambda rng: affine_c_shuffle_sample(52, 3, rng), shuffles.riffle_plan(52, 3)),
+    (lambda rng: affine_a_2shuffle_sample(5, rng), (16, 5, 4, 3, 2, 1)),
+    (lambda rng: affine_a_2shuffle_sample(52, rng), (2**51,) + tuple(range(52, 0, -1))),
+], ids=["riffle-5-3", "riffle-52-1e9", "affine-c-5-4", "affine-c-52-3", "affine-a-5",
+        "affine-a-52"])
+def test_each_sample_is_one_randrange_over_its_plan(draw, plan):
+    for seed in (0, 2026):
+        rng, single = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            draw(rng)
+            single.randrange(math.prod(plan))
+            assert rng.getstate() == single.getstate()
 
 
-def test_generator_reads_as_the_block_reader_assumes():
-    # count_picks assumes CPython's Mersenne Twister: getrandbits(32 * c) holds
-    # the next c 32-bit words, least significant first, and randrange(m) takes
-    # the top m.bit_length() bits of one word, drawing again while they are >= m.
-    assumption = "random.Random no longer reads words as shuffles.count_picks assumes"
-    blocks, words = random.Random(5), random.Random(5)
-    for c in (1, 2, 7, 64):
-        block = blocks.getrandbits(32 * c)
-        assert block == sum(words.getrandbits(32) << (32 * i) for i in range(c)), assumption
-    calls, bits = random.Random(11), random.Random(11)
-    for m in (1, 2, 3, 4, 7, 128, 129, 255) * 50:
-        value = bits.getrandbits(32) >> (32 - m.bit_length())
-        while value >= m:
-            value = bits.getrandbits(32) >> (32 - m.bit_length())
-        assert calls.randrange(m) == value, assumption
+class FixedDraw:
+    """A generator whose one ``randrange`` returns ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def randrange(self, stop):
+        assert 0 <= self.value < stop
+        return self.value
 
 
-def test_block_reader_refuses_a_scan_that_skips_input(monkeypatch):
-    # a scanner that accepts only top bit 0 and rejects nothing skips each 1
-    scanner = (re.compile(b"(\\x00)"), bytes(v >> 7 for v in range(256)), (0,))
-    monkeypatch.setattr(shuffles, "_plan_scanner", lambda plan: scanner)
-    with pytest.raises(RuntimeError, match="block reader lost its place"):
-        shuffles.count_picks((1,), 100, random.Random(3))
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 3), (3, 2), (4, 3), (5, 2)])
+def test_every_draw_pushes_forward_to_the_exact_law(n, k):
+    # Each sampler over every integer below the product of its plan: the
+    # outcome counts over that product are the exact law.
+    cases = [
+        (lambda rng: riffle_sample(n, k, rng), shuffles.riffle_plan(n, k),
+         riffle_distribution(n, k)),
+        (lambda rng: affine_c_shuffle_sample(n, k, rng), shuffles.riffle_plan(n, k),
+         affine_c_shuffle_distribution(n, k)),
+        (lambda rng: affine_a_2shuffle_sample(n, rng), (2 ** (n - 1),) + tuple(range(n, 0, -1)),
+         affine_a_2shuffle_distribution(n)),
+    ]
+    for draw, plan, exact in cases:
+        total = math.prod(plan)
+        counts = Counter(draw(FixedDraw(value)) for value in range(total))
+        assert {w: Fraction(c, total) for w, c in counts.items()} == exact.coeffs
 
 
-@pytest.mark.parametrize("plan, bound", [((0,), 0), ((2, 256), 256), ((3, 1000, 1), 1000)],
-                         ids=str)
-def test_block_reader_refuses_bounds_past_one_byte(plan, bound):
+@pytest.mark.parametrize("draw", [
+    lambda rng: riffle_sample(3, 10**7, rng),
+    lambda rng: affine_c_shuffle_sample(3, 10**7, rng),
+], ids=["riffle", "affine-c"])
+def test_a_draw_does_not_allocate_k_stacks(draw):
     rng = random.Random(1)
-    state = rng.getstate()
-    with pytest.raises(ValueError, match=f"randrange bound {bound} is outside 1..255"):
-        shuffles.count_picks(plan, 10, rng)
-    assert rng.getstate() == state
+    tracemalloc.start()
+    try:
+        draw(rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # --- total variation --------------------------------------------------------------
