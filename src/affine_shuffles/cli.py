@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``measure``  -- print an affine k-shuffle measure (group order at most
-  ``MEASURE_MAX_ORDER``) or one coefficient (any n and k);
+  ``perm.GROUP_MAX_ORDER``) or one coefficient (any n and k);
 * ``verify``   -- run a named verification check or the whole battery;
 * ``sample``   -- draw from one of the shuffle models with a fixed seed
   (at most ``SAMPLE_MAX_COUNT`` draws and ``SAMPLE_MAX_CARDS`` cards);
@@ -31,7 +31,7 @@ import sys
 from fractions import Fraction
 
 from . import closed_forms, harness, shuffles, unimodal
-from .perm import ELEMENT_TYPES, GroupKind
+from .perm import ELEMENT_TYPES, GROUP_MAX_ORDER, GroupKind
 
 
 def _render_fraction(value: Fraction, decimal: int | None) -> str:
@@ -94,10 +94,10 @@ class _Output:
 
 
 def _cmd_measure(args: argparse.Namespace, out: _Output) -> int:
+    # type A by method 4, von Sterneck's route, whose cost does not grow with k
     family, n, k = args.family, args.n, args.k
     if args.element is not None:
         if family == "A":
-            # method 4, the von Sterneck route: its cost does not grow with k, method 1's does
             value = closed_forms.x_k_type_a(args.element, k, method=4)
         else:
             value = closed_forms.x_k_type_c(args.element, k)
@@ -109,7 +109,7 @@ def _cmd_measure(args: argparse.Namespace, out: _Output) -> int:
             out.emit(_render_fraction(value, out.decimal))
         return 0
     if family == "A":
-        element = closed_forms.x_k_measure_type_a(n, k)
+        element = closed_forms.x_k_measure_type_a(n, k, method=4)
     else:
         element = closed_forms.x_k_measure_type_c(n, k)
     items = sorted(element.coeffs.items(), key=lambda kv: kv[0].images)
@@ -249,14 +249,6 @@ def _sample_count(text: str) -> int:
 _sample_count.__name__ = "int"
 
 
-MEASURE_MAX_ORDER = 3_628_800
-"""Largest group order ``measure`` enumerates without ``--element``: 10!,
-which admits S_10 and C_7.  The class index holds n bytes per element and
-the measure one entry per element of nonzero mass, so S_12 alone would need
-479,001,600 x 12 bytes for its index; larger groups are refused before
-anything is enumerated."""
-
-
 def _parse_element(parser: argparse.ArgumentParser, args: argparse.Namespace):
     """The ``measure --element`` text as a group element on ``--n`` symbols."""
     try:
@@ -342,11 +334,11 @@ def main(argv: list[str] | None = None) -> int:
             args.element = _parse_element(args.subparser, args)
         # The order is computed up to n = 20 only (20! > 10!), so that a huge
         # --n is refused without a huge factorial.
-        elif (order := GroupKind(args.family, min(args.n, 20)).order()) > MEASURE_MAX_ORDER:
+        elif (order := GroupKind(args.family, min(args.n, 20)).order()) > GROUP_MAX_ORDER:
             more = "more than " if args.n > 20 else ""
             args.subparser.error(
                 f"argument --n: the {args.family} measure at n={args.n} would enumerate "
-                f"{more}{order:,} elements; at most {MEASURE_MAX_ORDER:,} without --element")
+                f"{more}{order:,} elements; at most {GROUP_MAX_ORDER:,} without --element")
         return _cmd_measure(args, out)
     if args.command == "verify":
         return _cmd_verify(args, out)

@@ -279,12 +279,12 @@ def cyclic_descents(w: GroupElement) -> frozenset[int]:
 class DescentClass(NamedTuple):
     """The elements of one group with one cyclic descent set.
 
-    ``packed`` holds every member's images, n signed bytes each (so
-    n <= 127), in enumeration order; ``first`` is the first of them.  It is
-    the members' slices of the group's one enumeration buffer, joined, with
-    the rank codes of negative images mapped back to signed bytes.  Members
-    are unpacked on demand, so the index holds no element object beyond
-    ``first``.
+    ``packed`` holds every member's images, n signed bytes each (n <= 10
+    under ``GROUP_MAX_ORDER``), in enumeration order; ``first`` is the first
+    of them.  It is the members' slices of the group's one enumeration
+    buffer, joined, with the rank codes of negative images mapped back to
+    signed bytes.  Members are unpacked on demand, so the index holds no
+    element object beyond ``first``.
     """
 
     cdes: frozenset[int]
@@ -334,6 +334,11 @@ def _decode_cdes(key: bytes) -> frozenset[int]:
     return descents | _AFFINE if key[-1] & 1 else descents
 
 
+GROUP_MAX_ORDER = 3_628_800
+"""Largest group the class index enumerates, 10!, which admits S_10 and C_7:
+at n bytes per element, S_12 alone would take 479,001,600 x 12 bytes."""
+
+
 @lru_cache(maxsize=16)
 def descent_classes(family: str, n: int) -> tuple[DescentClass, ...]:
     """S_n (family "A") or C_n (family "C") split by cyclic descent set.
@@ -351,8 +356,8 @@ def descent_classes(family: str, n: int) -> tuple[DescentClass, ...]:
     """
     _check_family(family)
     _check_size(n)
-    if n > 127:
-        raise ValueError(f"the class index packs images as signed bytes, so n <= 127; got n={n}")
+    if GroupKind(family, min(n, 13)).order() > GROUP_MAX_ORDER:  # no factorial past 13!
+        raise ValueError(f"order past GROUP_MAX_ORDER = {GROUP_MAX_ORDER:,}: {family} at n={n}")
     perms = itertools.permutations(range(1, n + 1))
     if family == "A":
         flat = bytes(itertools.chain.from_iterable(perms))

@@ -9,9 +9,13 @@ Conventions, fixed once and validated against the closed-form measures:
   distribution equals the *inverse* of the corresponding affine shuffle
   element.
 
-Each exact distribution is enumerated as a probability element of the group
-algebra (``GroupAlgebraElement.probability``), the same type as the x_k
-elements it inverts.  A sampler's draw has two parts:
+Each exact distribution is a probability element of the group algebra
+(``GroupAlgebraElement.probability``), the same type as the x_k elements it
+inverts.  A cut-and-riffle of n cards into k stacks is a uniform word in
+{0..k-1}^n whose letter i names the stack of the merged deck's i-th card
+(Bayer-Diaconis).  Both exact laws count their words' outcomes in one
+``itertools.product`` enumeration, ``_word_counts``, under one size limit.
+A sampler's draw has two parts:
 
 * its *plan*, the fixed tuple of ``randrange`` bounds of its picks: a stack
   per card, then the cards left, ``(k,)*n + (n, ..., 1)``, for the riffle and
@@ -27,22 +31,23 @@ The decoding is a bijection, so the picks are uniform on the pick tuples.
 Tests pin the streams of all three samplers.  ``count_picks`` counts the
 picks of many draws: it makes the same ``randrange`` calls and decodes each
 distinct integer once.  The exact side and the sampler side share only the
-cut stacks of ``_stacks_for_cut``.
+stacks of ``_stacks_for_cut`` and ``_affine_a_second_pile``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .numth import binomial
 from .perm import (
+    ELEMENT_TYPES,
     GroupAlgebraElement,
-    GroupElement,
     GroupKind,
     Permutation,
     SignedPermutation,
@@ -67,36 +72,6 @@ __all__ = [
     "tv_affine_c_to_uniform",
     "theorem_tv_check",
 ]
-
-
-def _multiset_permutations(multiplicities: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    # All arrangements of the word with multiplicities[i] copies of symbol i.
-    total = sum(multiplicities)
-    counts = list(multiplicities)
-    word: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(word) == total:
-            yield tuple(word)
-            return
-        for s, c in enumerate(counts):
-            if c:
-                counts[s] -= 1
-                word.append(s)
-                yield from rec()
-                word.pop()
-                counts[s] += 1
-
-    return rec()
-
-
-def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +108,6 @@ def _stacks_for_cut(
             cards = [-c for c in reversed(cards)]
         stacks.append(tuple(cards))
     return stacks
-
-
-def _merge(stacks: Sequence[Sequence[int]], word: tuple[int, ...]) -> tuple[int, ...]:
-    positions = [0] * len(stacks)
-    out = []
-    for s in word:
-        out.append(stacks[s][positions[s]])
-        positions[s] += 1
-    return tuple(out)
 
 
 def _riffle_images(stacks: Sequence[Sequence[int]], picks: Sequence[int]) -> tuple[int, ...]:
@@ -212,18 +178,52 @@ def count_picks(plan: tuple[int, ...], draws: int, rng: random.Random) -> Counte
 # Affine type C k-shuffles
 # ---------------------------------------------------------------------------
 
-def _affine_c_outcomes(n: int, k: int) -> Iterator[SignedPermutation]:
-    # One outcome per (cut, interleaving) pair, so an element may repeat.
-    flip_odd = k % 2 == 0  # odd k flips even stacks, even k flips odd stacks
-    for sizes in _compositions(n, k):
-        stacks = _stacks_for_cut(enumerate(sizes, start=1), flip_odd)
-        for word in _multiset_permutations(sizes):
-            yield SignedPermutation(_merge(stacks, word))
-
-
 EXACT_MAX_OUTCOMES = 2**20
-"""Most (cut, interleaving) pairs, k^n, that ``affine_c_shuffle_distribution``
-enumerates; each takes about 13 microseconds, so the limit is about 14 s."""
+"""Most words, k^n (2^n for the two-pile law), that an exact law enumerates.
+A word takes about 3 microseconds at n <= 5, where outcomes repeat, and 9.4
+at n = 20, k = 2, where each is a new element: about 10 s at the limit."""
+
+
+def _merge(stacks: Mapping[int, Sequence[int]], word: Sequence[int]) -> tuple[int, ...]:
+    # Letter s of the word takes the next card down stacks[s].
+    tops = {s: iter(stack) for s, stack in stacks.items()}
+    return tuple([next(tops[s]) for s in word])
+
+
+def _word_counts(n: int, k: int, stacks_for_cut: Callable) -> dict[tuple[int, ...], int]:
+    # How many words in {0..k-1}^n merge into each outcome, first reached
+    # first.  A word's cut is its sorted letters; stacks_for_cut gives the
+    # cut's stacks by letter, once per cut, or None to skip its words.  k^n
+    # is never computed for a huge n: 2^n alone passes the limit there.
+    if k > 1 and (n >= EXACT_MAX_OUTCOMES.bit_length() or k**n > EXACT_MAX_OUTCOMES):
+        raise ValueError(
+            f"the exact shuffle law at n={n}, k={k} enumerates k^n words, "
+            f"more than EXACT_MAX_OUTCOMES = {EXACT_MAX_OUTCOMES:,}")
+    stacks_of = functools.cache(stacks_for_cut)
+    counts: dict[tuple[int, ...], int] = {}
+    for word in itertools.product(range(k), repeat=n):
+        stacks = stacks_of(tuple(sorted(word)))
+        if stacks is not None:
+            images = _merge(stacks, word)
+            counts[images] = counts.get(images, 0) + 1
+    return counts
+
+
+def _exact_law(kind: GroupKind, counts: dict, words: int) -> GroupAlgebraElement:
+    # The sum-to-1 guard also checks that ``words`` words were enumerated.
+    element = ELEMENT_TYPES[kind.family]
+    return GroupAlgebraElement.probability(
+        kind, {element(images): Fraction(count, words) for images, count in counts.items()})
+
+
+def _affine_c_counts(n: int, k: int) -> dict[tuple[int, ...], int]:
+    flip_odd = k % 2 == 0  # odd k flips even stacks, even k flips odd stacks
+
+    def stacks(cut: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+        sizes = Counter(cut)
+        return dict(zip(sizes, _stacks_for_cut(((s + 1, j) for s, j in sizes.items()), flip_odd)))
+
+    return _word_counts(n, k, stacks)
 
 
 def affine_c_shuffle_distribution(n: int, k: int) -> GroupAlgebraElement:
@@ -231,23 +231,12 @@ def affine_c_shuffle_distribution(n: int, k: int) -> GroupAlgebraElement:
 
     Cut multinomially into k stacks, flip the even-numbered stacks when k is
     odd (the odd-numbered ones when k is even), then interleave uniformly.
-    Every (cut, interleaving) pair carries probability 1/k^n.  More than
-    ``EXACT_MAX_OUTCOMES`` pairs are refused before any is enumerated.
+    Every word in {0..k-1}^n carries probability 1/k^n.  More than
+    ``EXACT_MAX_OUTCOMES`` words are refused before any is enumerated.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    # 2^n alone passes the limit once n reaches its bit length; k^n is then
-    # never computed for a huge n.
-    if k > 1 and (n >= EXACT_MAX_OUTCOMES.bit_length() or k**n > EXACT_MAX_OUTCOMES):
-        raise ValueError(
-            f"the flip-and-riffle law at n={n}, k={k} enumerates k^n (cut, interleaving) "
-            f"pairs, more than EXACT_MAX_OUTCOMES = {EXACT_MAX_OUTCOMES:,}")
-    # The sum-to-1 guard also checks that k^n outcomes were enumerated.
-    masses: dict[GroupElement, Fraction] = {}
-    step = Fraction(1, k**n)
-    for outcome in _affine_c_outcomes(n, k):
-        masses[outcome] = masses.get(outcome, Fraction(0)) + step
-    return GroupAlgebraElement.probability(GroupKind("C", n), masses)
+    return _exact_law(GroupKind("C", n), _affine_c_counts(n, k), k**n)
 
 
 def affine_c_shuffle_sample(n: int, k: int, rng: random.Random) -> SignedPermutation:
@@ -262,8 +251,8 @@ def affine_c_images(n: int, k: int, picks: Sequence[int]) -> tuple[int, ...]:
 
 
 def two_shuffle_outcomes(n: int) -> list[SignedPermutation]:
-    """The 2^n distinct outcomes of the k = 2 model, in enumeration order."""
-    return list(_affine_c_outcomes(n, 2))
+    """The 2^n distinct outcomes of the k = 2 model, in their words' order."""
+    return [SignedPermutation(images) for images in _affine_c_counts(n, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -284,24 +273,16 @@ def affine_a_2shuffle_distribution(n: int) -> GroupAlgebraElement:
 
     Choose an even 2j with probability binom(n, 2j)/2^{n-1}; build the second
     pile from the top j and bottom j cards; riffle the two piles uniformly.
+    So every word in {0,1}^n with an even number of ones has mass 1/2^{n-1}.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    masses: dict[GroupElement, Fraction] = {}
-    denominator = 2 ** (n - 1)
-    for j in range(0, n // 2 + 1):
-        cut_probability = Fraction(binomial(n, 2 * j), denominator)
-        if cut_probability == 0:
-            continue
-        first, second = _affine_a_second_pile(n, j)
-        stacks = [first, second]
-        sizes = (len(first), len(second))
-        interleavings = list(_multiset_permutations(sizes))
-        per_word = cut_probability / len(interleavings)
-        for word in interleavings:
-            w = Permutation(_merge(stacks, word))
-            masses[w] = masses.get(w, Fraction(0)) + per_word
-    return GroupAlgebraElement.probability(GroupKind("A", n), masses)
+
+    def piles(cut: tuple[int, ...]) -> dict[int, list[int]] | None:
+        ones = sum(cut)
+        return None if ones % 2 else dict(enumerate(_affine_a_second_pile(n, ones // 2)))
+
+    return _exact_law(GroupKind("A", n), _word_counts(n, 2, piles), 2 ** (n - 1))
 
 
 def affine_a_2shuffle_sample(n: int, rng: random.Random) -> Permutation:
@@ -331,19 +312,18 @@ def uniform_distribution(kind: GroupKind) -> GroupAlgebraElement:
     return GroupAlgebraElement.probability(kind, {w: mass for w in kind.elements()})
 
 
+def _tv_to_uniform(histogram: Iterable[tuple[int, Fraction]], order: int) -> Fraction:
+    # 1/2 sum_r h[r] |mass(r) - 1/|G||, over the (h[r], mass(r)) pairs.
+    uniform = Fraction(1, order)
+    return sum((h * abs(mass - uniform) for h, mass in histogram), Fraction(0)) / 2
+
+
 def tv_riffle_to_uniform(n: int, k: int) -> Fraction:
     """TV distance of the k-riffle to uniform, via the Eulerian histogram."""
     A = descent_histograms(n).A
-    nfact = math.factorial(n)
-    return (
-        sum(
-            (
-                A[r] * abs(Fraction(binomial(k + n - r - 1, n), k**n) - Fraction(1, nfact))
-                for r in range(n)
-            ),
-            Fraction(0),
-        )
-        / 2
+    return _tv_to_uniform(
+        ((A[r], Fraction(binomial(k + n - r - 1, n), k**n)) for r in range(n)),
+        math.factorial(n),
     )
 
 
@@ -357,17 +337,9 @@ def tv_affine_c_to_uniform(n: int, k: int) -> Fraction:
     if k % 2:
         raise ValueError("closed-form TV is stated for even k")
     N = descent_histograms(n).N
-    order = 2**n * math.factorial(n)
-    return (
-        sum(
-            (
-                N[r - 1]
-                * abs(Fraction(binomial(k // 2 + n - r, n), k**n) - Fraction(1, order))
-                for r in range(1, n + 1)
-            ),
-            Fraction(0),
-        )
-        / 2
+    return _tv_to_uniform(
+        ((N[r - 1], Fraction(binomial(k // 2 + n - r, n), k**n)) for r in range(1, n + 1)),
+        2**n * math.factorial(n),
     )
 
 

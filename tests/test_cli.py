@@ -1,10 +1,11 @@
 """Command-line interface behavior."""
 
+import itertools
 import json
 
 import pytest
 
-from affine_shuffles import closed_forms, harness, perm, shuffles, unimodal
+from affine_shuffles import closed_forms, harness, numth, perm, shuffles, unimodal
 from affine_shuffles.cli import SAMPLE_MAX_CARDS, SAMPLE_MAX_COUNT, main
 from affine_shuffles.harness import CHECKS
 
@@ -263,6 +264,33 @@ def test_measure_element_at_huge_k(capsys, monkeypatch):
     assert out.strip() == "33333333333333333333/200000000000000000000"
 
 
+def test_whole_type_a_measure_at_huge_k(capsys, monkeypatch):
+    # the whole measure reads the von Sterneck route too; method 1's box
+    # table grows linearly in k and would not finish at this k
+    def box_table_forbidden(*args):
+        raise AssertionError("method 1's box table was built")
+
+    monkeypatch.setattr(numth, "_box_residues", box_table_forbidden)
+    code, out = run(capsys, "measure", "--family", "A", "--n", "3", "--k", str(10**20))
+    assert code == 0
+    assert len(out.splitlines()) == 6
+
+
+@pytest.mark.parametrize("options", [[], ["--json"], ["--csv"]], ids=["text", "json", "csv"])
+def test_whole_type_a_measure_gives_method_1_output(capsys, monkeypatch, options):
+    def measure(n, k):
+        return run(capsys, *options, "measure", "--family", "A", "--n", str(n), "--k", str(k))
+
+    sizes = list(itertools.product(range(1, 6), range(1, 7)))
+    outputs = [measure(n, k) for n, k in sizes]
+    method_1 = closed_forms.x_k_measure_type_a
+    monkeypatch.setattr(closed_forms, "x_k_measure_type_a",
+                        lambda n, k, method: method_1(n, k, 1))
+    for (n, k), output in zip(sizes, outputs):
+        assert output[0] == 0
+        assert measure(n, k) == output, (n, k)
+
+
 def _drawn(*args):
     raise AssertionError("a draw was made")
 
@@ -397,7 +425,7 @@ def test_bad_arguments_exit_2(capsys):
                  id="measure-k-0"),
     pytest.param(["measure", "--family", "A", "--n", "0", "--k", "2"], "measure",
                  id="measure-n-0"),
-    # refused by the order limit, before the class index's n <= 127 is reached
+    # refused by the CLI's order pre-check, before the class index's own limit is reached
     pytest.param(["measure", "--family", "A", "--n", "130", "--k", "2"], "measure",
                  id="measure-A-n-past-the-class-index"),
     pytest.param(["measure", "--family", "C", "--n", "128", "--k", "2"], "measure",

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import types
 from fractions import Fraction
 
 import pytest
@@ -397,20 +398,21 @@ def test_sampler_rejects_no_draws(draws):
 
 @pytest.mark.parametrize("n, k", [(256, 2), (3, 256), (300, 300)])
 def test_sampler_refuses_outcomes_past_the_exact_limit(monkeypatch, n, k):
-    # refused before any draw, and before the exact side enumerates its k^n pairs
+    # refused before any draw, and before the exact side enumerates its k^n
+    # words: without ``itertools`` the enumeration would raise something else
     monkeypatch.setattr(shuffles, "count_picks", None)
-    monkeypatch.setattr(shuffles, "_affine_c_outcomes", None)
+    monkeypatch.setattr(shuffles, "itertools", None)
     with pytest.raises(ValueError, match=f"n={n}, k={k} .* more than EXACT_MAX_OUTCOMES"):
         verify_sampler(n, k, 10, 0.02, 1)
 
 
 @pytest.mark.parametrize("n, k", [(20, 2), (10, 4), (1, 2**20), (10**6, 1)])
 def test_exact_law_at_the_outcome_limit_is_allowed(monkeypatch, n, k):
-    # k^n <= EXACT_MAX_OUTCOMES reaches the enumeration
-    def enumerated(*args):
+    # k^n <= EXACT_MAX_OUTCOMES reaches the word enumeration
+    def enumerated(*args, **kwargs):
         raise LookupError("enumerated")
 
-    monkeypatch.setattr(shuffles, "_affine_c_outcomes", enumerated)
+    monkeypatch.setattr(shuffles, "itertools", types.SimpleNamespace(product=enumerated))
     with pytest.raises(LookupError, match="enumerated"):
         shuffles.affine_c_shuffle_distribution(n, k)
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -224,7 +225,27 @@ def test_descent_classes_refuse_sizes_past_signed_bytes(monkeypatch):
     # ``itertools`` an enumeration would raise something else.
     monkeypatch.setattr(perm_module, "itertools", None)
     for family, n in (("A", 128), ("C", 128), ("A", 255)):
-        with pytest.raises(ValueError, match=f"n <= 127; got n={n}$"):
+        with pytest.raises(ValueError, match=f"GROUP_MAX_ORDER = 3,628,800: {family} at n={n}$"):
+            descent_classes(family, n)
+
+
+def _enumerated(*args):
+    raise LookupError("enumerated")
+
+
+@pytest.mark.parametrize("family, n, refused", [
+    ("A", 11, True), ("C", 8, True), ("A", 10, False), ("C", 7, False),
+])
+def test_descent_classes_refuse_groups_past_the_order_limit(monkeypatch, family, n, refused):
+    # S_11 and C_8 are refused before any enumeration; S_10 and C_7, the
+    # largest groups of order at most 10!, reach it
+    descent_classes.cache_clear()
+    monkeypatch.setattr(perm_module, "itertools", types.SimpleNamespace(permutations=_enumerated))
+    if refused:
+        with pytest.raises(ValueError, match=f"GROUP_MAX_ORDER = 3,628,800: {family} at n={n}$"):
+            descent_classes(family, n)
+    else:
+        with pytest.raises(LookupError, match="enumerated"):
             descent_classes(family, n)
 
 

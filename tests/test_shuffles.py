@@ -1,9 +1,11 @@
 """Card-shuffling models, their exact distributions, and total variation."""
 
+import hashlib
 import itertools
 import math
 import random
 import tracemalloc
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -102,6 +104,47 @@ def test_two_shuffle_outcomes_are_distinct():
         assert len(set(outcomes)) == 2**n
 
 
+def _law_lines(name, law):
+    yield name
+    yield from sorted(f"{w.to_text()}:{mass}" for w, mass in law.coeffs.items())
+
+
+def test_exact_laws_are_pinned():
+    # Both laws, element by element, as sorted element:mass lines: type A at
+    # n <= 8 and type C at n <= 5, k <= 7, k^n <= 20,000.  The digest was
+    # recorded from the (cut, interleaving) enumeration that the words replaced.
+    lines = [
+        line for n in range(1, 9)
+        for line in _law_lines(f"A {n}", affine_a_2shuffle_distribution(n))
+    ] + [
+        line for n in range(1, 6) for k in range(1, 8) if k**n <= 20_000
+        for line in _law_lines(f"C {n} {k}", affine_c_shuffle_distribution(n, k))
+    ]
+    assert len(lines) == 11548
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "c725682a34120d1d2945a71997b8186f7f9f18d008d596f4543ae9d1708482b8")
+
+
+def _enumerated(*args, **kwargs):
+    raise LookupError("enumerated")
+
+
+@pytest.mark.parametrize("law", [affine_a_2shuffle_distribution, two_shuffle_outcomes])
+def test_two_pile_laws_refuse_words_past_the_exact_limit(monkeypatch, law):
+    # 2^21 words are refused before any word is built: without ``itertools``
+    # the enumeration would raise something else
+    monkeypatch.setattr(shuffles, "itertools", None)
+    with pytest.raises(ValueError, match="n=21, k=2 .* more than EXACT_MAX_OUTCOMES"):
+        law(21)
+
+
+@pytest.mark.parametrize("law", [affine_a_2shuffle_distribution, two_shuffle_outcomes])
+def test_two_pile_laws_at_the_exact_limit_reach_the_words(monkeypatch, law):
+    monkeypatch.setattr(shuffles, "itertools", types.SimpleNamespace(product=_enumerated))
+    with pytest.raises(LookupError, match="enumerated"):
+        law(20)
+
+
 def test_affine_c_sampler_deterministic():
     assert affine_c_shuffle_sample(4, 2, random.Random(99)) == affine_c_shuffle_sample(
         4, 2, random.Random(99)
@@ -196,18 +239,25 @@ def test_sampler_stream_is_pinned(draw, expected):
 def test_kernel_draws_are_merges_of_the_stacks(n):
     # Over every pick tuple (one value below each count of cards left), the
     # kernel returns valid signed permutations, exactly the merges the exact
-    # side enumerates for the same stacks, each equally often.
+    # side enumerates for the same stacks, each equally often.  The exact
+    # side's merges are those of the words whose letter counts are the sizes.
+    def letter_counts(word, k):
+        return tuple(map(word.count, range(k)))
+
     picks = list(itertools.product(*(range(left) for left in range(n, 0, -1))))
     cases = [_affine_a_second_pile(n, j) for j in range(n // 2 + 1)]
     cases += [
         shuffles._stacks_for_cut(enumerate(sizes, start=1), flip)
-        for k in (1, 2, 3) for sizes in shuffles._compositions(n, k)
+        for k in (1, 2, 3)
+        for sizes in sorted({letter_counts(w, k) for w in itertools.product(range(k), repeat=n)})
         for flip in (None, True, False)
     ]
     for stacks in cases:
         sizes = tuple(len(stack) for stack in stacks)
         merges = {
-            shuffles._merge(stacks, word) for word in shuffles._multiset_permutations(sizes)
+            shuffles._merge(dict(enumerate(stacks)), word)
+            for word in itertools.product(range(len(stacks)), repeat=n)
+            if letter_counts(word, len(stacks)) == sizes
         }
         counts = Counter(shuffles._riffle_images(stacks, p) for p in picks)
         assert set(counts) == merges
