@@ -41,7 +41,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .perm import (
@@ -94,7 +94,7 @@ class RootSystem:
     def ambient_dim(self) -> int:
         return self.rank + 1 if self.family == "A" else self.rank
 
-    @property
+    @cached_property  # built once: the alcove sweeps read it at every point
     def simple_roots(self) -> tuple[Vector, ...]:
         dim = self.ambient_dim
         roots = []
@@ -108,7 +108,7 @@ class RootSystem:
             roots.append(tuple(v))
         return tuple(roots)
 
-    @property
+    @cached_property
     def alpha_zero(self) -> Vector | None:
         """Negative of the highest root; None in the degenerate rank-0 case."""
         dim = self.ambient_dim

@@ -25,14 +25,14 @@ Cdes(w) (Cellini: the coefficient of w is (1/k^r) times the number of alcove
 points whose wall set avoids Cdes(w)), so x_k is constant on the classes of
 equal Cdes.  ``descent_classes`` enumerates a group once into one byte buffer
 of rank codes, keys every element by comparing the buffer with itself shifted
-by one byte, and keeps, per class, its Cdes, its first element and its
-members packed as signed bytes; computing a route's value once on the first
-element and copying it to every member is exact.  S_8 has 254 classes for
-40,320 elements, C_6 126 for 46,080.  The index does not call
-``cyclic_descents``, which the closed forms read, so the two are independent;
-``descent_histograms`` folds the class sizes of both indexes.  The index is
-an ``lru_cache``: a test that monkeypatches it, or its key step
-``_cdes_keys``, must ``cache_clear()`` it first.
+by one byte, as big integers a block at a time, and keeps, per class, its
+Cdes, its first element and its members packed as signed bytes; computing a
+route's value once on the first element and copying it to every member is
+exact.  S_8 has 254 classes for 40,320 elements, C_6 126 for 46,080.  The
+index does not call ``cyclic_descents``, which the closed forms read, so the
+two are independent.  The index is an ``lru_cache``: a test that
+monkeypatches it, or its key step ``_cdes_keys``, must ``cache_clear()`` it
+first.  Outputs built from valid parts skip their constructors' checks.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Collection, Iterator, Mapping, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "GroupElement",
@@ -61,6 +61,7 @@ __all__ = [
     "cyclic_descents",
     "cycle_type",
     "HistogramPair",
+    "descent_histogram",
     "descent_histograms",
     "all_permutations",
     "all_signed_permutations",
@@ -221,6 +222,16 @@ def _trusted(cls: type[GroupElement], images: tuple[int, ...]) -> GroupElement:
     return w
 
 
+def _trusted_each(cls: type[GroupElement],
+                  images: Iterable[tuple[int, ...]]) -> Iterator[GroupElement]:
+    # ``_trusted`` inlined, with no Python call per element.
+    new = object.__new__
+    for one in images:
+        w = new(cls)
+        _SET_IMAGES(w, one)
+        yield w
+
+
 def _check_size(n: int) -> None:
     if n < 1:
         raise ValueError(f"a group element needs at least one symbol, got n={n}")
@@ -229,17 +240,16 @@ def _check_size(n: int) -> None:
 def all_permutations(n: int) -> Iterator[Permutation]:
     """S_n in the lexicographic order of ``itertools.permutations``."""
     _check_size(n)
-    for images in itertools.permutations(range(1, n + 1)):
-        yield _trusted(Permutation, images)
+    return _trusted_each(Permutation, itertools.permutations(range(1, n + 1)))
 
 
 def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
     """C_n: each permutation in S_n's order, then its sign patterns in the
     order of ``itertools.product((1, -1), repeat=n)``."""
     _check_size(n)
-    for images in itertools.permutations(range(1, n + 1)):
-        for signed in itertools.product(*((v, -v) for v in images)):
-            yield _trusted(SignedPermutation, signed)
+    signed = (itertools.product(*((v, -v) for v in images))
+              for images in itertools.permutations(range(1, n + 1)))
+    return _trusted_each(SignedPermutation, itertools.chain.from_iterable(signed))
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +307,32 @@ class DescentClass(NamedTuple):
 
     def members(self) -> list[GroupElement]:
         """Every element of the class, in enumeration order."""
-        cls = type(self.first)
-        return [_trusted(cls, images)
-                for images in struct.iter_unpack(f"{self.first.n}b", self.packed)]
+        return list(_trusted_each(type(self.first),
+                                  struct.iter_unpack(f"{self.first.n}b", self.packed)))
 
 
-def _cdes_keys(family: str, n: int, flat: bytes) -> bytes:
+# Bytes per big integer in ``_greater``: one integer for a whole buffer would
+# raise the peak memory of ``descent_classes("A", 10)`` by half.
+_BLOCK = 1 << 14
+
+
+def _greater(a: bytes, b: bytes) -> bytearray:
+    """``bytearray(map(operator.gt, a, b))`` for bytes below 128, b read as 0
+    past its end, as big integers one zero-padded ``_BLOCK`` at a time.  With
+    the top bit of each byte of a set, a - b - 1 per byte lies in 0..254: no
+    borrow crosses a byte, and the top bit stays exactly where a > b."""
+    high = int.from_bytes(b"\x80" * _BLOCK, "big")
+    ones = high >> 7
+    out = bytearray()
+    for start in range(0, len(a), _BLOCK):
+        x, y = (int.from_bytes(bytes(v[start:start + _BLOCK]).ljust(_BLOCK, b"\0"), "big")
+                for v in (a, b))
+        out += ((((x | high) - y - ones) & high) >> 7).to_bytes(_BLOCK, "big")
+    del out[len(a):]
+    return out
+
+
+def _cdes_keys(family: str, n: int, flat: bytes) -> bytearray:
     """n key bytes per element of ``flat``, which holds each element's rank
     codes (the images, with -v coded as 2n + 1 - v), n bytes per element.
 
@@ -312,16 +342,16 @@ def _cdes_keys(family: str, n: int, flat: bytes) -> bytes:
     n in its bit 1: [w(n) > w(1)] in type A, 2 [w(n) < 0] + [w(1) > 0] in
     type C.  Two elements share a key exactly when they share their Cdes.
     """
-    keys = bytearray(map(operator.gt, flat, flat[1:] + b"\0"))
+    keys = _greater(flat, memoryview(flat)[1:])
     firsts, lasts = flat[::n], flat[n - 1::n]
     if family == "A":
-        keys[n - 1::n] = bytes(map(operator.gt, lasts, firsts))
+        keys[n - 1::n] = _greater(lasts, firsts)
     else:
         negative = bytes(2 * (c > n) for c in range(256))
         positive = bytes(c <= n for c in range(256))
         keys[n - 1::n] = bytes(map(operator.add, lasts.translate(negative),
                                    firsts.translate(positive)))
-    return bytes(keys)
+    return keys
 
 
 def _decode_cdes(key: bytes) -> frozenset[int]:
@@ -349,10 +379,10 @@ def descent_classes(family: str, n: int) -> tuple[DescentClass, ...]:
     is enumerated once, in the order of ``all_permutations`` or
     ``all_signed_permutations``, into one buffer of rank codes, n bytes per
     element, and ``_cdes_keys`` keys every element at once.  One loop files
-    each element's bytes under its key; each class then maps its rank codes
-    to signed bytes in one ``bytes.translate`` and decodes its Cdes and its
-    first element once.  The keys equal ``cyclic_descents(w)``, which the
-    index does not call.
+    each element's n bytes under its n key bytes (``struct.iter_unpack``
+    reads both); each class then maps its rank codes to signed bytes in one
+    ``bytes.translate`` and decodes its Cdes and its first element once.  The
+    keys equal ``cyclic_descents(w)``, which the index does not call.
     """
     _check_family(family)
     _check_size(n)
@@ -367,12 +397,12 @@ def descent_classes(family: str, n: int) -> tuple[DescentClass, ...]:
         )))
     keys = _cdes_keys(family, n, flat)
     groups: dict[bytes, bytearray] = {}
-    for start in range(0, len(flat), n):
-        key = keys[start:start + n]
-        images = groups.get(key)
-        if images is None:
-            images = groups[key] = bytearray()
-        images += flat[start:start + n]
+    chunks = struct.Struct(f"{n}s").iter_unpack
+    for (key,), (images,) in zip(chunks(keys), chunks(flat)):
+        filed = groups.get(key)
+        if filed is None:
+            filed = groups[key] = bytearray()
+        filed += images
     # rank code c > n stands for -(2n + 1 - c), a signed byte
     signed = bytes(c if c <= n else (c - 2 * n - 1) % 256 for c in range(256))
     cls = ELEMENT_TYPES[family]
@@ -433,14 +463,15 @@ def cycle_type(w: GroupElement) -> CycleType | SignedCycleType:
     product contributes to lam, negative to mu.
     """
     if isinstance(w, Permutation):
-        return CycleType(tuple(sorted((len(c) for c in w.cycles()), reverse=True)))
+        return _unchecked(CycleType, parts=tuple(sorted(map(len, w.cycles()), reverse=True)))
     lam: list[int] = []
     mu: list[int] = []
     images = w.images
     for cyc in w.underlying().cycles():
         negatives = sum(1 for i in cyc if images[i - 1] < 0)
         (lam if negatives % 2 == 0 else mu).append(len(cyc))
-    return SignedCycleType(tuple(sorted(lam, reverse=True)), tuple(sorted(mu, reverse=True)))
+    return _unchecked(SignedCycleType, lam=tuple(sorted(lam, reverse=True)),
+                      mu=tuple(sorted(mu, reverse=True)))
 
 
 class HistogramPair(NamedTuple):
@@ -448,25 +479,21 @@ class HistogramPair(NamedTuple):
     N: tuple[int, ...]
 
 
-@lru_cache(maxsize=16)
-def descent_histograms(n: int) -> HistogramPair:
-    """Descent histograms at size n, folded from the class indexes.
+def descent_histogram(family: str, n: int) -> tuple[int, ...]:
+    """One family's descent histogram, folded from its class index alone:
+    for "A", entry r counts w in S_n with r descents (|Cdes \\ {0}| = r,
+    r = 0..n-1); for "C", entry r-1 counts w in C_n with r cyclic descents
+    (|Cdes| = r, r = 1..n)."""
+    counts = [0] * n
+    for c in descent_classes(family, n):
+        counts[len(c.cdes - _AFFINE) if family == "A" else len(c.cdes) - 1] += c.size
+    return tuple(counts)
 
-    A[r] counts w in S_n with r descents (r = 0..n-1); N[r-1] counts w in C_n
-    with r cyclic descents (r = 1..n).  The descents of w are its cyclic
-    descents other than the marker 0, so A[r] sums the sizes of the classes
-    of ``descent_classes("A", n)`` with |Cdes \\ {0}| = r, and N[r-1] those
-    of ``descent_classes("C", n)`` with |Cdes| = r.  The identity
-    N[r] = 2^n A[r] is a theorem, not an assumption: each side is counted
-    from its own group's enumeration.
-    """
-    A = [0] * n
-    for c in descent_classes("A", n):
-        A[len(c.cdes - _AFFINE)] += c.size
-    N = [0] * n
-    for c in descent_classes("C", n):
-        N[len(c.cdes) - 1] += c.size
-    return HistogramPair(tuple(A), tuple(N))
+
+def descent_histograms(n: int) -> HistogramPair:
+    """``descent_histogram`` of "A" and of "C": N[r] = 2^n A[r] is a theorem,
+    and each side is counted from its own group's enumeration."""
+    return HistogramPair(descent_histogram("A", n), descent_histogram("C", n))
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +513,16 @@ class GroupAlgebraElement:
 
     def __post_init__(self) -> None:
         _check_family(self.kind.family)
+        _check_size(self.kind.n)
         expected = ELEMENT_TYPES[self.kind.family]
         cleaned = {}
         for w, c in self.coeffs.items():
             if type(c) is not Fraction:  # shared Fraction values stay shared
                 c = Fraction(c)
-            if w.n != self.kind.n:
-                raise ValueError(f"element {w!r} does not belong to {self.kind}")
             if not isinstance(w, expected):
                 raise ValueError(f"element {w!r} has wrong type for family {self.kind.family}")
+            if w.n != self.kind.n:
+                raise ValueError(f"element {w!r} does not belong to {self.kind}")
             if c != 0:
                 cleaned[w] = c
         object.__setattr__(self, "coeffs", cleaned)
@@ -510,7 +538,7 @@ class GroupAlgebraElement:
         """A probability element: raises ValueError, naming the total, unless
         every coefficient is nonnegative and they sum to exactly 1."""
         element = cls(kind, coeffs)
-        _require_probability(element.coeffs)
+        _require_probability(element.coeffs.values())
         return element
 
     @classmethod
@@ -518,14 +546,16 @@ class GroupAlgebraElement:
         cls, kind: GroupKind, value: Callable[[DescentClass], Fraction]
     ) -> "GroupAlgebraElement":
         """The probability element that gives every member of each class of
-        ``descent_classes(*kind)`` the class's ``value``; classes of value 0
-        are never unpacked."""
+        ``descent_classes(*kind)`` the class's ``value``; ``probability``'s
+        guard is checked once per class, on value x size, and no member is."""
+        classes = descent_classes(*kind)
+        values = [c if type(c) is Fraction else Fraction(c) for c in map(value, classes)]
+        _require_probability(values, [c.size for c in classes])
         coeffs = {}
-        for descent_class in descent_classes(*kind):
-            c = value(descent_class)
+        for descent_class, c in zip(classes, values):
             if c:
                 coeffs.update(dict.fromkeys(descent_class.members(), c))
-        return cls.probability(kind, coeffs)
+        return _unchecked(cls, kind=kind, coeffs=coeffs)
 
     def class_measure(self) -> "ClassMeasure":
         """Push a probability element forward to conjugacy classes."""
@@ -544,9 +574,17 @@ def _over_common_denominator(values: Collection[Fraction]) -> tuple[list[int], i
     return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
-def _require_probability(masses: Mapping) -> None:
-    numerators, denom = _over_common_denominator(masses.values())
-    total = sum(numerators)
+def _unchecked(cls: type, **fields):
+    # A frozen dataclass from fields valid by construction: no ``__post_init__``.
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _require_probability(masses: Collection[Fraction], sizes: Iterable[int] | None = None) -> None:
+    # ``sizes`` counts how many elements carry each mass (1 each if None).
+    numerators, denom = _over_common_denominator(masses)
+    total = sum(numerators) if sizes is None else sum(map(operator.mul, numerators, sizes))
     if total != denom or any(m < 0 for m in numerators):
         raise ValueError(
             "masses must be nonnegative and sum to exactly 1; "
@@ -581,9 +619,9 @@ def convolve(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElem
             sums[w] = sums.get(w, 0) + cu * cv
     cls = ELEMENT_TYPES[a.kind.family]
     denom = da * db
-    return GroupAlgebraElement(
-        a.kind, {_trusted(cls, w[1:]): Fraction(c, denom) for w, c in sums.items() if c}
-    )
+    return _unchecked(GroupAlgebraElement, kind=a.kind, coeffs={
+        _trusted(cls, w[1:]): Fraction(c, denom) for w, c in sums.items() if c
+    })
 
 
 def invert_element(a: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -599,7 +637,7 @@ class ClassMeasure:
 
     def __post_init__(self) -> None:
         cleaned = {t: Fraction(m) for t, m in self.masses.items() if m != 0}
-        _require_probability(cleaned)
+        _require_probability(cleaned.values())
         object.__setattr__(self, "masses", cleaned)
 
     def mass(self, t: CycleType | SignedCycleType) -> Fraction:

@@ -51,7 +51,7 @@ from .perm import (
     GroupKind,
     Permutation,
     SignedPermutation,
-    descent_histograms,
+    descent_histogram,
 )
 from .report import check
 
@@ -320,7 +320,7 @@ def _tv_to_uniform(histogram: Iterable[tuple[int, Fraction]], order: int) -> Fra
 
 def tv_riffle_to_uniform(n: int, k: int) -> Fraction:
     """TV distance of the k-riffle to uniform, via the Eulerian histogram."""
-    A = descent_histograms(n).A
+    A = descent_histogram("A", n)
     return _tv_to_uniform(
         ((A[r], Fraction(binomial(k + n - r - 1, n), k**n)) for r in range(n)),
         math.factorial(n),
@@ -336,7 +336,7 @@ def tv_affine_c_to_uniform(n: int, k: int) -> Fraction:
     """
     if k % 2:
         raise ValueError("closed-form TV is stated for even k")
-    N = descent_histograms(n).N
+    N = descent_histogram("C", n)
     return _tv_to_uniform(
         ((N[r - 1], Fraction(binomial(k // 2 + n - r, n), k**n)) for r in range(1, n + 1)),
         2**n * math.factorial(n),

@@ -1,6 +1,8 @@
 """Group elements, statistics, cycle types, and group-algebra arithmetic."""
 
 import itertools
+import math
+import operator
 import random
 import types
 from fractions import Fraction
@@ -25,6 +27,7 @@ from affine_shuffles.perm import (
     cycle_type,
     cyclic_descents,
     descent_classes,
+    descent_histogram,
     descent_histograms,
     invert_element,
 )
@@ -268,6 +271,40 @@ def test_descent_classes_partition_the_group_in_enumeration_order(family, n):
     assert len(classes) == (1 if rank == 0 else 2 ** (rank + 1) - 2)
 
 
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_blockwise_comparison_matches_the_bytewise_one(monkeypatch, block):
+    # Buffers longer than three blocks and not a multiple of the block, so
+    # that the last block is short; every byte value below 128 occurs.
+    monkeypatch.setattr(perm_module, "_BLOCK", block)
+    rng = random.Random(block)
+    size = 4 * block + 1 + block // 2
+    for _ in range(50):
+        a = bytes(rng.choice([0, 1, 2, 126, 127, rng.randrange(128)]) for _ in range(size))
+        b = bytes(rng.choice([0, 1, 2, 126, 127, rng.randrange(128)]) for _ in range(size))
+        assert perm_module._greater(a, b) == bytes(map(operator.gt, a, b))
+        # b shorter than a is read as 0 past its end
+        assert perm_module._greater(a, b[:-2]) == bytes(map(operator.gt, a, b[:-2] + b"\0\0"))
+    assert perm_module._greater(bytes(range(128)), bytes(range(127, -1, -1))) == bytes(
+        i > 127 - i for i in range(128))
+
+
+@pytest.mark.parametrize("family, n", [("A", 5), ("C", 4)])
+def test_descent_classes_partition_the_group_with_a_small_block(monkeypatch, family, n):
+    # A block of 5 bytes splits elements of 4 and 5 bytes, so descents
+    # straddle block edges.
+    monkeypatch.setattr(perm_module, "_BLOCK", 5)
+    descent_classes.cache_clear()
+    try:
+        expected = {}
+        for w in _enumerate(family, n):
+            expected.setdefault(cyclic_descents(w), []).append(w)
+        classes = descent_classes(family, n)
+        assert {c.cdes: c.members() for c in classes} == expected
+        assert [c.cdes for c in classes] == list(expected)
+    finally:
+        descent_classes.cache_clear()
+
+
 # --- cyclic descents in C_n -------------------------------------------------
 
 def test_type_c_cyclic_descents_match_definition():
@@ -381,6 +418,16 @@ def test_histogram_identity_exhaustive():
         assert sum(N) == len(list(all_signed_permutations(n)))
         for r in range(n):
             assert N[r] == 2**n * A[r]
+
+
+def test_descent_histogram_reads_one_family():
+    # S_8's histogram needs only S_8: C_8 is past GROUP_MAX_ORDER.
+    A = descent_histogram("A", 8)
+    assert sum(A) == math.factorial(8)
+    assert A == (1, 247, 4293, 15619, 15619, 4293, 247, 1)  # Eulerian numbers
+    with pytest.raises(ValueError, match="GROUP_MAX_ORDER"):
+        descent_histogram("C", 8)
+    assert descent_histograms(4) == (descent_histogram("A", 4), descent_histogram("C", 4))
 
 
 def test_cd_histogram_matches_direct_count():
@@ -513,6 +560,60 @@ def test_invert_is_involution_and_preserves_coefficients(xs, data):
 
 
 # --- class measures ---------------------------------------------------------
+
+def test_group_algebra_element_rejects_non_elements_and_empty_groups():
+    with pytest.raises(ValueError, match="wrong type for family A"):
+        GroupAlgebraElement(GroupKind("A", 2), {(1, 2): 1})
+    with pytest.raises(ValueError, match="wrong type for family C"):
+        GroupAlgebraElement(GroupKind("C", 2), {perm("1,2"): 1})
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one symbol"):
+            GroupAlgebraElement(GroupKind("A", n), {})
+
+
+def _per_class(kind, value):
+    return GroupAlgebraElement.probability_per_class(kind, value)
+
+
+@pytest.mark.parametrize("kind", [GroupKind("A", 4), GroupKind("C", 3)])
+def test_probability_per_class_checks_the_total_per_class(kind):
+    classes = descent_classes(*kind)
+    order = kind.order()
+    # every element gets 2/|G|: the total is 2
+    with pytest.raises(ValueError, match="they sum to 2$"):
+        _per_class(kind, lambda c: Fraction(2, order))
+    # the first class is negative and the rest balance it to 1
+    first = classes[0]
+    rest = order - first.size
+    value = {first.cdes: Fraction(-1, first.size)}
+    with pytest.raises(ValueError, match="nonnegative and sum to exactly 1; they sum to 1$"):
+        _per_class(kind, lambda c: value.get(c.cdes, Fraction(2, rest)))
+    # a negative class alone: the total is named too
+    with pytest.raises(ValueError, match="they sum to -1$"):
+        _per_class(kind, lambda c: value.get(c.cdes, Fraction(0)))
+
+
+@pytest.mark.parametrize("kind", [GroupKind("A", 1), GroupKind("A", 5), GroupKind("C", 3)])
+def test_probability_per_class_equals_the_validated_element(kind):
+    # mass proportional to 1 + |Cdes|, with every class of odd |Cdes| empty
+    classes = descent_classes(*kind)
+    weight = {c.cdes: (1 + len(c.cdes)) * (len(c.cdes) % 2 == 0) for c in classes}
+    total = sum(weight[c.cdes] * c.size for c in classes)
+    out = _per_class(kind, lambda c: Fraction(weight[c.cdes], total))
+    assert out == GroupAlgebraElement.probability(kind, dict(out.coeffs))
+    assert list(out.coeffs) == [w for c in classes if weight[c.cdes] for w in c.members()]
+    assert all(type(c) is Fraction for c in out.coeffs.values())
+
+
+def test_unchecked_outputs_equal_the_validated_ones():
+    for w in all_signed_permutations(3):
+        t = cycle_type(w)
+        assert t == SignedCycleType(t.lam, t.mu) and hash(t) == hash(SignedCycleType(t.lam, t.mu))
+        u = cycle_type(w.underlying())
+        assert u == CycleType(u.parts) and hash(u) == hash(CycleType(u.parts))
+    product = convolve(C2_MEASURE, C2_MEASURE)
+    assert product == GroupAlgebraElement(product.kind, dict(product.coeffs))
+
 
 def test_class_measure_validation():
     with pytest.raises(ValueError):

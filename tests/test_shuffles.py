@@ -407,6 +407,14 @@ def test_tv_histogram_formulas_match_enumeration():
             assert enum_r == tv_riffle_to_uniform(n, k // 2), (n, k)
 
 
+def test_type_a_tv_reaches_past_the_type_c_limit():
+    # S_8 has 40,320 elements; C_8 is past the class index's order limit,
+    # and the type A TV reads only S_8's histogram.
+    tv = tv_riffle_to_uniform(8, 2)
+    assert 0 < tv < 1
+    assert tv == total_variation(riffle_distribution(8, 2), uniform_distribution(GroupKind("A", 8)))
+
+
 def test_tv_equality_theorem():
     report = theorem_tv_check(2, 2)
     assert report.passed
